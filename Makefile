@@ -48,7 +48,8 @@ bench-alloc:
 
 # bench-replay measures the reference-replay fast path — indexed vs
 # linear-scan TLB lookup, buffered zero-alloc trace generation, and the
-# end-to-end Figure 11 replay, serial vs sharded at 1/2/4/8 lanes — and
+# end-to-end Figure 11 replay, serial vs sharded at 1/2/4/8 lanes, plus
+# Figure 11d's block-prefetch path serial and at 4 lanes — and
 # snapshots the result as BENCH_replay.json. The indexed/scan pairs
 # share every other line of code, so the ratio isolates the index; the
 # serial/sharded pairs render identical bytes, so the ratio isolates
@@ -57,7 +58,7 @@ bench-alloc:
 bench-replay:
 	{ $(GO) test -run '^$$' -bench BenchmarkAccess -benchmem -count 3 ./internal/tlb/ ; \
 	  $(GO) test -run '^$$' -bench BenchmarkGeneratorFill -benchmem -count 3 ./internal/trace/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkFigure11(Replay|Sharded)' -benchmem -count 3 ./internal/sim/ ; } \
+	  $(GO) test -run '^$$' -bench 'BenchmarkFigure11(Replay|Sharded|Prefetch)' -benchmem -count 3 ./internal/sim/ ; } \
 	| $(GO) run ./cmd/benchjson > BENCH_replay.json
 
 # bench-mmu measures the composable translation hierarchy — the

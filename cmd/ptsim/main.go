@@ -38,6 +38,7 @@ import (
 	"clusterpt/internal/linear"
 	"clusterpt/internal/memcost"
 	"clusterpt/internal/pagetable"
+	"clusterpt/internal/pte"
 	svc "clusterpt/internal/service"
 	"clusterpt/internal/sim"
 	"clusterpt/internal/swtlb"
@@ -178,6 +179,8 @@ func simProcess(snap trace.ProcessSnapshot, n int, kind tlb.Kind, mode sim.PTEMo
 		}
 	}
 	var served uint64
+	// blockBuf is the block-prefetch gather buffer, reused across misses.
+	var blockBuf []pte.Entry
 	service := func(va addr.V) error {
 		r := h.Access(va)
 		if r.Hit {
@@ -202,10 +205,11 @@ func simProcess(snap trace.ProcessSnapshot, n int, kind tlb.Kind, mode sim.PTEMo
 				return fmt.Errorf("table %q cannot prefetch blocks", *tableName)
 			}
 			vpbn, _ := addr.BlockSplit(addr.VPNOf(va), 4)
-			es, cost, found := br.LookupBlock(vpbn, 4)
+			es, cost, found := br.AppendBlock(blockBuf[:0], vpbn, 4)
 			if !found {
 				return fmt.Errorf("lost block %#x", uint64(vpbn))
 			}
+			blockBuf = es
 			cost = h.FilterWalk(addr.VPNOf(va), cost)
 			res.lines += uint64(cost.Lines)
 			h.InsertBlock(vpbn, es)

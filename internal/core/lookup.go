@@ -73,15 +73,21 @@ func (t *Table) lookupLocked(b *bucket, vpbn addr.VPBN, vpn addr.VPN, boff uint6
 	return pte.Entry{}, cost, false
 }
 
-// LookupBlock implements pagetable.BlockReader: it gathers every valid
+// LookupBlock implements pagetable.BlockReader: AppendBlock into a fresh
+// slice.
+func (t *Table) LookupBlock(vpbn addr.VPBN, logSBF uint) ([]pte.Entry, pagetable.WalkCost, bool) {
+	return t.AppendBlock(make([]pte.Entry, 0, 1<<logSBF), vpbn, logSBF)
+}
+
+// AppendBlock implements pagetable.BlockReader: it gathers every valid
 // base-page translation in the block for complete-subblock TLB prefetch
 // (§4.4). Because a clustered node stores the whole block's mappings
 // contiguously, the gather touches the node's full mapping array rather
 // than probing once per base page as a hashed table must.
-func (t *Table) LookupBlock(vpbn addr.VPBN, logSBF uint) ([]pte.Entry, pagetable.WalkCost, bool) {
+func (t *Table) AppendBlock(dst []pte.Entry, vpbn addr.VPBN, logSBF uint) ([]pte.Entry, pagetable.WalkCost, bool) {
 	if logSBF != t.logSBF {
 		// The table's block geometry is fixed at construction.
-		return nil, pagetable.WalkCost{}, false
+		return dst, pagetable.WalkCost{}, false
 	}
 	b := t.bucketFor(vpbn)
 	b.mu.RLock()
@@ -89,7 +95,7 @@ func (t *Table) LookupBlock(vpbn addr.VPBN, logSBF uint) ([]pte.Entry, pagetable
 
 	var meter memcost.Meter
 	cost := pagetable.WalkCost{Probes: 1}
-	var entries []pte.Entry
+	entries := dst
 	sbf := uint64(t.cfg.SubblockFactor)
 	for nd := b.head; nd != nil; nd = nd.next {
 		cost.Nodes++
@@ -111,7 +117,7 @@ func (t *Table) LookupBlock(vpbn addr.VPBN, logSBF uint) ([]pte.Entry, pagetable
 		}
 	}
 	cost.Lines = meter.Lines()
-	return entries, cost, len(entries) > 0
+	return entries, cost, len(entries) > len(dst)
 }
 
 // findNode returns the first chain node with the given tag that satisfies

@@ -229,6 +229,20 @@ func TestLookupBlock(t *testing.T) {
 	}
 }
 
+// TestAppendBlockZeroAlloc pins that a gather into a warmed caller
+// buffer allocates nothing: the block-prefetch miss path reuses one
+// buffer per owner.
+func TestAppendBlockZeroAlloc(t *testing.T) {
+	tab := newTable(t, Config{})
+	for i := addr.VPN(0); i < 16; i++ {
+		tab.Map(0x40+i, 0x100+addr.PPN(i), pte.AttrR)
+	}
+	buf, _, _ := tab.AppendBlock(nil, 4, 4)
+	if n := testing.AllocsPerRun(100, func() { buf, _, _ = tab.AppendBlock(buf[:0], 4, 4) }); n != 0 {
+		t.Fatalf("AppendBlock into a warmed buffer: %v allocs, want 0", n)
+	}
+}
+
 func TestLookupBlockGeometryMismatch(t *testing.T) {
 	tab := newTable(t, Config{})
 	tab.Map(0x40, 0x100, pte.AttrR)

@@ -267,6 +267,27 @@ func TestLookupBlockAdjacency(t *testing.T) {
 	}
 }
 
+// TestAppendBlockZeroAlloc pins that a gather into a warmed caller
+// buffer allocates nothing, through the leaf and through an
+// intermediate-node superpage: the block-prefetch miss path reuses one
+// buffer per owner.
+func TestAppendBlockZeroAlloc(t *testing.T) {
+	tab := MustNew(Config{})
+	for i := addr.VPN(0); i < 16; i++ {
+		tab.Map(0x40+i, 0x100+addr.PPN(i), pte.AttrR)
+	}
+	tab.MapSuperpageAtNode(0x100000, 0x200, pte.AttrR, addr.Size1M)
+	for _, vpbn := range []addr.VPBN{4, 0x10000} {
+		buf, _, ok := tab.AppendBlock(nil, vpbn, 4)
+		if !ok || len(buf) != 16 {
+			t.Fatalf("AppendBlock(%#x) = %d entries ok=%v, want 16", uint64(vpbn), len(buf), ok)
+		}
+		if n := testing.AllocsPerRun(100, func() { buf, _, _ = tab.AppendBlock(buf[:0], vpbn, 4) }); n != 0 {
+			t.Fatalf("AppendBlock(%#x) into a warmed buffer: %v allocs, want 0", uint64(vpbn), n)
+		}
+	}
+}
+
 func TestLookupBlockThroughNodeSuperpage(t *testing.T) {
 	tab := MustNew(Config{})
 	tab.MapSuperpageAtNode(0x100, 0x200, pte.AttrR, addr.Size1M)

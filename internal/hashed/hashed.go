@@ -276,12 +276,18 @@ func (t *Table) ChainStats() (alpha float64, maxChain int) {
 	return float64(nodes) / float64(t.cfg.Buckets), maxChain
 }
 
-// LookupBlock implements pagetable.BlockReader the only way a hashed
+// LookupBlock implements pagetable.BlockReader: AppendBlock into a fresh
+// slice.
+func (t *Table) LookupBlock(vpbn addr.VPBN, logSBF uint) ([]pte.Entry, pagetable.WalkCost, bool) {
+	return t.AppendBlock(make([]pte.Entry, 0, 1<<logSBF), vpbn, logSBF)
+}
+
+// AppendBlock implements pagetable.BlockReader the only way a hashed
 // table can: one full probe per base page in the block. This is the §4.4
 // observation that subblock prefetching is very expensive for hashed
 // tables — Figure 11d's "terrible" case.
-func (t *Table) LookupBlock(vpbn addr.VPBN, logSBF uint) ([]pte.Entry, pagetable.WalkCost, bool) {
-	var entries []pte.Entry
+func (t *Table) AppendBlock(dst []pte.Entry, vpbn addr.VPBN, logSBF uint) ([]pte.Entry, pagetable.WalkCost, bool) {
+	entries := dst
 	var cost pagetable.WalkCost
 	sbf := uint64(1) << logSBF
 	for boff := uint64(0); boff < sbf; boff++ {
@@ -295,7 +301,7 @@ func (t *Table) LookupBlock(vpbn addr.VPBN, logSBF uint) ([]pte.Entry, pagetable
 			entries = append(entries, e)
 		}
 	}
-	return entries, cost, len(entries) > 0
+	return entries, cost, len(entries) > len(dst)
 }
 
 var (

@@ -308,6 +308,20 @@ func TestLookupBlockAdjacent(t *testing.T) {
 	}
 }
 
+// TestAppendBlockZeroAlloc pins that a gather into a warmed caller
+// buffer allocates nothing: the block-prefetch miss path reuses one
+// buffer per owner.
+func TestAppendBlockZeroAlloc(t *testing.T) {
+	tab := MustNew(Config{})
+	for i := addr.VPN(0); i < 16; i++ {
+		tab.Map(0x40+i, 0x100+addr.PPN(i), pte.AttrR)
+	}
+	buf, _, _ := tab.AppendBlock(nil, 4, 4)
+	if n := testing.AllocsPerRun(100, func() { buf, _, _ = tab.AppendBlock(buf[:0], 4, 4) }); n != 0 {
+		t.Fatalf("AppendBlock into a warmed buffer: %v allocs, want 0", n)
+	}
+}
+
 func TestStats(t *testing.T) {
 	tab := MustNew(Config{})
 	tab.Map(1, 1, pte.AttrR)

@@ -147,9 +147,22 @@ type UpperWalker interface {
 // (§4.4). The cost reflects how the organization stores neighboring PTEs:
 // one node for clustered tables, adjacent memory for linear and
 // forward-mapped tables, one probe per base page for hashed tables.
+//
+// AppendBlock is the gather; LookupBlock is AppendBlock into a fresh
+// slice. Hot paths pass AppendBlock a buffer they own and reuse, so a
+// block miss allocates nothing. AppendBlock's result aliases dst:
+// callers must not retain it across calls that reuse the buffer, and a
+// caller that keeps the entries (a memo) must store its own copy or
+// call LookupBlock.
 type BlockReader interface {
+	// AppendBlock appends the valid translations within page block vpbn
+	// (subblock factor 1<<logSBF) to dst, with Go append semantics, and
+	// returns the extended slice and the cost of gathering them. ok
+	// reports whether the block added any entries. The prefix
+	// dst[:len(dst)] is never modified.
+	AppendBlock(dst []pte.Entry, vpbn addr.VPBN, logSBF uint) (entries []pte.Entry, cost WalkCost, ok bool)
 	// LookupBlock returns the valid translations within page block vpbn
-	// (subblock factor 1<<logSBF) and the cost of gathering them. ok is
-	// false if no page in the block is mapped.
+	// in a fresh slice the caller owns, and the cost of gathering them.
+	// ok is false if no page in the block is mapped.
 	LookupBlock(vpbn addr.VPBN, logSBF uint) (entries []pte.Entry, cost WalkCost, ok bool)
 }

@@ -182,6 +182,11 @@ type figureState struct {
 	pwcs     []*walkcache.PWC
 	pwcIdx   int
 	pwcUpper int
+
+	// blockBuf is the block-prefetch gather buffer, reused by every
+	// variant walk and the canonical refill of each block miss so the
+	// miss path allocates nothing.
+	blockBuf []pte.Entry
 }
 
 // newFigureState builds the figure's page tables and TLBs for one
@@ -343,20 +348,22 @@ func serviceMiss(f Figure, va addr.V, res tlb.Result, st *figureState, lines *li
 			if !ok {
 				return fmt.Errorf("variant %q cannot prefetch blocks", v.Name)
 			}
-			_, cost, found := br.LookupBlock(vpbn, 4)
+			entries, cost, found := br.AppendBlock(st.blockBuf[:0], vpbn, 4)
 			if !found {
 				return fmt.Errorf("variant %q lost block %#x", v.Name, uint64(vpbn))
 			}
+			st.blockBuf = entries
 			l := cost.Lines
 			if pwcHit && i == st.pwcIdx {
 				l = walkcache.ElideLines(l, st.pwcUpper)
 			}
 			lines[v.Class] += uint64(l)
 		}
-		entries, _, found := st.canonical.(pagetable.BlockReader).LookupBlock(vpbn, 4)
+		entries, _, found := st.canonical.(pagetable.BlockReader).AppendBlock(st.blockBuf[:0], vpbn, 4)
 		if !found {
 			return fmt.Errorf("canonical table lost block %#x", uint64(vpbn))
 		}
+		st.blockBuf = entries
 		st.refTLB.InsertBlock(vpbn, entries)
 		if st.l2 != nil {
 			for _, e := range entries {
@@ -404,6 +411,8 @@ type linState struct {
 	class LineClass
 	l2    *swtlb.Cache
 	pwc   *walkcache.PWC
+	// blockBuf is the reused block-prefetch gather buffer.
+	blockBuf []pte.Entry
 }
 
 // serviceLinear advances the linear variant's TLBs for one reference. A
@@ -432,10 +441,11 @@ func serviceLinear(f Figure, va addr.V, ls *linState, lines *lineCounts) (uint64
 		// Block miss with prefetch: the block's PTEs are adjacent in the
 		// PTE array.
 		vpbn, _ := addr.BlockSplit(vpn, 4)
-		entries, cost, ok := ls.table.LookupBlock(vpbn, 4)
+		entries, cost, ok := ls.table.AppendBlock(ls.blockBuf[:0], vpbn, 4)
 		if !ok {
 			return 0, fmt.Errorf("linear lost block %#x", uint64(vpbn))
 		}
+		ls.blockBuf = entries
 		lines[ls.class] += uint64(cost.Lines)
 		ls.main.InsertBlock(vpbn, entries)
 		if ls.l2 != nil {

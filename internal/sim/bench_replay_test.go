@@ -7,6 +7,7 @@ package sim
 // modes produce byte-identical rows; only the speed differs. The
 // speedup grows with TLB size (the scan is O(entries), the index O(1)),
 // so the sweep covers the 64-entry base case through 1024 entries.
+// BenchmarkFigure11Prefetch adds Figure 11d's block-prefetch path.
 // `make bench-replay` snapshots these into BENCH_replay.json.
 
 import (
@@ -62,6 +63,34 @@ func BenchmarkFigure11Sharded(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := RunFigure11(Fig11a, p, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFigure11Prefetch measures Figure 11d, the complete-subblock
+// TLB with block prefetch (§4.4): every block miss gathers the whole
+// block from all five tables (four variants plus the canonical refill),
+// so it times the block-gather and block-fill paths the Figure 11a
+// benchmarks above never reach. serial is the single-lane loop, s4 the
+// sharded pipeline with memoized gathers.
+func BenchmarkFigure11Prefetch(b *testing.B) {
+	p, ok := trace.ProfileByName("gcc")
+	if !ok {
+		b.Fatal("no gcc profile")
+	}
+	for _, lanes := range []struct {
+		name   string
+		shards int
+	}{{"serial", 1}, {"s4", 4}} {
+		b.Run(lanes.name, func(b *testing.B) {
+			cfg := AccessConfig{Refs: 400_000, Seed: 1, Shards: lanes.shards, Buf: &ReplayBuf{}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunFigure11(Fig11d, p, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -193,6 +193,9 @@ type walkLane struct {
 	l2Probe  *walkCost
 	pwcClass LineClass
 	pwcUpper uint32
+	// blockBuf is the reused block-gather buffer; walkBlock keeps only
+	// the costs, never the entries.
+	blockBuf []pte.Entry
 }
 
 func newWalkLane(st *figureState) *walkLane {
@@ -286,10 +289,11 @@ func (w *walkLane) walkBlock(vpbn addr.VPBN) (*walkCost, error) {
 		if !ok {
 			return nil, fmt.Errorf("variant %q cannot prefetch blocks", v.Name)
 		}
-		_, cost, found := br.LookupBlock(vpbn, 4)
+		entries, cost, found := br.AppendBlock(w.blockBuf[:0], vpbn, 4)
 		if !found {
 			return nil, fmt.Errorf("variant %q lost block %#x", v.Name, uint64(vpbn))
 		}
+		w.blockBuf = entries
 		c[v.Class] += uint32(cost.Lines)
 	}
 	return c, nil

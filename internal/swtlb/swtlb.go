@@ -65,8 +65,8 @@ func (c *Config) fill() error {
 // block of them (Clustered mode).
 type entry struct {
 	valid bool
-	tag   uint64 // VPN, or VPBN in Clustered mode
-	words []pte.Word
+	tag   uint64     // VPN, or VPBN in Clustered mode
+	words []pte.Word // the slot's fixed window of the cache's word slab
 	lru   uint64
 }
 
@@ -89,6 +89,8 @@ type Cache struct {
 	sets  [][]entry //ptlint:guardedby mu
 	tick  uint64    //ptlint:guardedby mu
 	stats Stats     //ptlint:guardedby mu
+	// blockBuf is the Clustered fill's reused block-gather buffer.
+	blockBuf []pte.Entry //ptlint:guardedby mu
 }
 
 // New creates a software TLB over the backing table.
@@ -121,10 +123,21 @@ func newCache(cfg Config, backing pagetable.PageTable) (*Cache, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
+	// Every slot's words are a fixed window of one slab, so a fill
+	// overwrites its victim's words in place instead of allocating.
+	n := 1
+	if cfg.Clustered {
+		n = 1 << cfg.LogSBF
+	}
+	slab := make([]pte.Word, cfg.Entries*n)
 	nsets := cfg.Entries / cfg.Ways
 	sets := make([][]entry, nsets)
 	for i := range sets {
 		sets[i] = make([]entry, cfg.Ways)
+		for w := range sets[i] {
+			s := (i*cfg.Ways + w) * n
+			sets[i][w].words = slab[s : s+n : s+n]
+		}
 	}
 	return &Cache{cfg: cfg, backing: backing, sets: sets}, nil
 }
@@ -273,13 +286,15 @@ func (c *Cache) fill(vpn addr.VPN, key uint64, e pte.Entry) {
 	ent.lru = c.tick
 	if c.cfg.Clustered {
 		_, boff := addr.BlockSplit(vpn, c.cfg.LogSBF)
-		ent.words = make([]pte.Word, 1<<c.cfg.LogSBF)
+		clear(ent.words) // pte.Invalid is the zero word
 		ent.words[boff] = wordFromEntry(e)
 		// Gather the rest of the block when the backing table can do it
 		// cheaply (clustered/linear adjacency).
 		if br, okBR := c.backing.(pagetable.BlockReader); okBR {
 			vpbn, _ := addr.BlockSplit(vpn, c.cfg.LogSBF)
-			if entries, _, okB := br.LookupBlock(vpbn, c.cfg.LogSBF); okB {
+			entries, _, okB := br.AppendBlock(c.blockBuf[:0], vpbn, c.cfg.LogSBF)
+			c.blockBuf = entries
+			if okB {
 				for _, be := range entries {
 					_, bo := addr.BlockSplit(be.VPN, c.cfg.LogSBF)
 					ent.words[bo] = wordFromEntry(be)
@@ -288,7 +303,7 @@ func (c *Cache) fill(vpn addr.VPN, key uint64, e pte.Entry) {
 		}
 		return
 	}
-	ent.words = []pte.Word{wordFromEntry(e)}
+	ent.words[0] = wordFromEntry(e)
 }
 
 // wordFromEntry reconstructs a base mapping word for caching. Superpage

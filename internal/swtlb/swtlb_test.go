@@ -1,6 +1,7 @@
 package swtlb
 
 import (
+	"fmt"
 	"testing"
 
 	"clusterpt/internal/addr"
@@ -169,6 +170,57 @@ func TestClusteredPartialBlockHoles(t *testing.T) {
 	c.Lookup(addr.VAOf(0x40))
 	if _, _, ok := c.Lookup(addr.VAOf(0x41)); ok {
 		t.Error("hole hit through clustered swTLB entry")
+	}
+}
+
+// TestClusteredReusedSlotDropsOldBlock pins that a slot handed to a new
+// block keeps none of its previous block's words: each slot's words are
+// a fixed slab window the fill overwrites in place.
+func TestClusteredReusedSlotDropsOldBlock(t *testing.T) {
+	c, backing := newBacked(t, Config{Entries: 1, Clustered: true})
+	for i := addr.VPN(0); i < 16; i++ {
+		backing.Map(0x40+i, 0x100+addr.PPN(i), pte.AttrR)
+	}
+	backing.Map(0x50, 0x200, pte.AttrR)
+	c.Lookup(addr.VAOf(0x40)) // fills the only slot with a full block
+	c.Lookup(addr.VAOf(0x50)) // reuses it for a one-page block
+	if e, _, ok := c.Probe(addr.VAOf(0x50)); !ok || e.PPN != 0x200 {
+		t.Fatalf("new block page = %v ok=%v", e, ok)
+	}
+	for i := addr.VPN(1); i < 16; i++ {
+		if e, _, ok := c.Probe(addr.VAOf(0x50 + i)); ok {
+			t.Fatalf("offset %d of the new block hit with the old block's word: %v", i, e)
+		}
+	}
+}
+
+// TestInsertZeroAlloc pins that a warmed software TLB fills without
+// allocating, plain and Clustered: slot words are fixed slab windows and
+// the Clustered gather reuses a Cache-owned buffer. The cycle touches
+// four times as many blocks as the cache has entries, so every fill
+// reuses an evicted slot.
+func TestInsertZeroAlloc(t *testing.T) {
+	for _, clustered := range []bool{false, true} {
+		t.Run(fmt.Sprintf("clustered=%v", clustered), func(t *testing.T) {
+			c, backing := newBacked(t, Config{Entries: 8, Ways: 2, Clustered: clustered})
+			var es []pte.Entry
+			for vpn := addr.VPN(0); vpn < 32*16; vpn++ {
+				ppn := 0x1000 + addr.PPN(vpn)
+				if err := backing.Map(vpn, ppn, pte.AttrR); err != nil {
+					t.Fatal(err)
+				}
+				es = append(es, pte.Entry{VPN: vpn, PPN: ppn, Attr: pte.AttrR, Size: addr.Size4K})
+			}
+			cycle := func() {
+				for _, e := range es {
+					c.Insert(e)
+				}
+			}
+			cycle() // warm: the gather buffer at its working size
+			if n := testing.AllocsPerRun(20, cycle); n != 0 {
+				t.Fatalf("%d fills: %v allocs per cycle, want 0", len(es), n)
+			}
+		})
 	}
 }
 

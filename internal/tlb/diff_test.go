@@ -161,6 +161,84 @@ func TestTLBIndexDifferential(t *testing.T) {
 	}
 }
 
+// TestTLBIndexCompleteSubblockSlotReuse churns sixteen times as many
+// block tags as a complete-subblock TLB has entries, through both
+// prefetch and single-page fills, so nearly every fill hands a slot —
+// and its fixed window of the frame slab — to a new block. Besides
+// indexed/scan agreement after every operation, it asserts that a
+// reused slot translates exactly its new mask: an offset outside the
+// mask misses, and no frame of the slot's previous block survives in
+// its window.
+func TestTLBIndexCompleteSubblockSlotReuse(t *testing.T) {
+	const entries, tags = 4, 64
+	p, err := newDiffPair(CompleteSubblock, entries, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// frame is a block-unique frame for (vpbn, off), so a stale frame
+	// left by another block can never pass for a current one.
+	frame := func(vpbn addr.VPBN, off uint64) addr.PPN { return addr.PPN(uint64(vpbn)<<8 | off | 1<<20) }
+	rng := rand.New(rand.NewSource(42))
+	var es []pte.Entry
+	for op := 0; op < 4000; op++ {
+		vpbn := addr.VPBN(rng.Intn(tags))
+		if rng.Intn(2) == 0 {
+			// Prefetch a sparse random subset of the block.
+			es = es[:0]
+			mask := rng.Uint32() & 0xffff
+			for off := uint64(0); off < 16; off++ {
+				if mask>>off&1 == 1 {
+					vpn := addr.VPN(uint64(vpbn)<<4 | off)
+					es = append(es, base(vpn, frame(vpbn, off)))
+				}
+			}
+			p.fast.InsertBlock(vpbn, es)
+			p.ref.InsertBlock(vpbn, es)
+		} else {
+			off := uint64(rng.Intn(16))
+			e := base(addr.VPN(uint64(vpbn)<<4|off), frame(vpbn, off))
+			p.fast.Insert(e)
+			p.ref.Insert(e)
+		}
+		if p.fast.stats != p.ref.stats {
+			t.Fatalf("op %d: stats diverged: indexed %+v vs scan %+v", op, p.fast.stats, p.ref.stats)
+		}
+		if err := p.stateEqual(); err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+		for _, tl := range []*TLB{p.fast, p.ref} {
+			for i := range tl.entries {
+				slot := &tl.entries[i]
+				if !slot.valid {
+					continue
+				}
+				for off := uint64(0); off < 16; off++ {
+					va := addr.VAOf(addr.VPN(uint64(slot.vpbn)<<4 | off))
+					ppn, ok := tl.Translate(va)
+					if slot.mask>>off&1 == 0 {
+						if ok {
+							t.Fatalf("op %d: slot %d (block %#x, mask %#04x) translates offset %d to %#x",
+								op, i, uint64(slot.vpbn), slot.mask, off, uint64(ppn))
+						}
+						if slot.ppns[off] != 0 {
+							t.Fatalf("op %d: slot %d (block %#x) keeps stale frame %#x at offset %d",
+								op, i, uint64(slot.vpbn), uint64(slot.ppns[off]), off)
+						}
+						continue
+					}
+					if !ok || ppn != frame(slot.vpbn, off) {
+						t.Fatalf("op %d: slot %d offset %d = (%#x,%v), want %#x",
+							op, i, off, uint64(ppn), ok, uint64(frame(slot.vpbn, off)))
+					}
+				}
+			}
+		}
+	}
+	if p.fast.stats.Replacements < 1000 {
+		t.Fatalf("only %d replacements: the stream did not churn slots", p.fast.stats.Replacements)
+	}
+}
+
 // TestTLBIndexDuplicateTags drives the duplicate-tag corner cases the
 // randomized streams only hit probabilistically: repeated identical
 // single-page inserts, a span shadowing a single of the same base, and

@@ -45,10 +45,13 @@ type slotRef struct {
 	n   int32
 }
 
-func newIndex(logSBF uint) *tlbIndex {
+// newIndex sizes the block map for blockSlots resident tags up front
+// (the entry count for the block kinds), so a fresh TLB's block fills
+// never grow it.
+func newIndex(logSBF uint, blockSlots int) *tlbIndex {
 	return &tlbIndex{
 		logSBF: logSBF,
-		blocks: make(map[addr.VPBN]slotRef),
+		blocks: make(map[addr.VPBN]slotRef, blockSlots),
 	}
 }
 

@@ -107,7 +107,7 @@ type entry struct {
 	vpbn   addr.VPBN
 	mask   uint16
 	ppn    addr.PPN
-	ppns   []addr.PPN
+	ppns   []addr.PPN // csb: the slot's fixed window of TLB.ppnSlab
 	lru    uint64
 }
 
@@ -132,6 +132,12 @@ type TLB struct {
 
 	// idx indexes resident tags for O(1) lookup; nil in Scan mode.
 	idx *tlbIndex
+
+	// ppnSlab backs every complete-subblock slot's per-subblock frames:
+	// slot v owns ppnSlab[v<<LogSBF:(v+1)<<LogSBF], so a block miss
+	// reuses its victim's frames instead of allocating. Nil for the
+	// other kinds.
+	ppnSlab []addr.PPN
 
 	// lruPrev/lruNext thread the valid slots into a doubly-linked list
 	// in ascending-lru order (lruHead is the coldest), and free is the
@@ -172,8 +178,15 @@ func New(cfg Config) (*TLB, error) {
 		return nil, err
 	}
 	t := &TLB{cfg: cfg, entries: make([]entry, cfg.Entries)}
+	if cfg.Kind == CompleteSubblock {
+		t.ppnSlab = make([]addr.PPN, cfg.Entries<<cfg.LogSBF)
+	}
 	if !cfg.Scan {
-		t.idx = newIndex(cfg.LogSBF)
+		blockSlots := 0
+		if cfg.Kind == PartialSubblock || cfg.Kind == CompleteSubblock {
+			blockSlots = cfg.Entries
+		}
+		t.idx = newIndex(cfg.LogSBF, blockSlots)
 		t.lruPrev = make([]int32, cfg.Entries)
 		t.lruNext = make([]int32, cfg.Entries)
 		t.lruHead, t.lruTail = -1, -1
@@ -477,16 +490,22 @@ func (t *TLB) Insert(e pte.Entry) {
 			return
 		}
 		v := t.victim()
-		t.replace(v, entry{
-			valid:  true,
-			format: fCSB,
-			vpbn:   vpbn,
-			mask:   1 << boff,
-			ppns:   make([]addr.PPN, 1<<t.cfg.LogSBF),
-			lru:    t.tick,
-		})
-		t.entries[v].ppns[boff] = e.PPN
+		blk := t.blockEntry(v, vpbn)
+		blk.mask = 1 << boff
+		blk.ppns[boff] = e.PPN
+		blk.lru = t.tick
+		t.replace(v, blk)
 	}
+}
+
+// blockEntry returns a fresh complete-subblock entry for block vpbn in
+// slot v: no subblocks valid, and the slot's slab window cleared so no
+// frame of the block it replaces survives.
+func (t *TLB) blockEntry(v int32, vpbn addr.VPBN) entry {
+	n := int32(1) << t.cfg.LogSBF
+	ppns := t.ppnSlab[v*n : (v+1)*n : (v+1)*n]
+	clear(ppns)
+	return entry{valid: true, format: fCSB, vpbn: vpbn, ppns: ppns}
 }
 
 // InsertBlock services a complete-subblock block miss with prefetching
@@ -502,12 +521,7 @@ func (t *TLB) InsertBlock(vpbn addr.VPBN, entries []pte.Entry) {
 	s := t.findBlockSlot(vpbn)
 	if s < 0 {
 		s = t.victim()
-		t.replace(s, entry{
-			valid:  true,
-			format: fCSB,
-			vpbn:   vpbn,
-			ppns:   make([]addr.PPN, 1<<t.cfg.LogSBF),
-		})
+		t.replace(s, t.blockEntry(s, vpbn))
 	}
 	blk := &t.entries[s]
 	blk.lru = t.tick
@@ -594,4 +608,3 @@ var (
 	_ mmu.Level       = (*TLB)(nil)
 	_ mmu.Invalidator = (*TLB)(nil)
 )
-

@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"fmt"
 	"testing"
 
 	"clusterpt/internal/addr"
@@ -241,6 +242,59 @@ func TestCompleteSubblockPrefetchEliminatesSubblockMisses(t *testing.T) {
 	}
 	if st.BlockMisses != 32 {
 		t.Errorf("block misses = %d, want 32 cold", st.BlockMisses)
+	}
+}
+
+// TestCompleteSubblockFillZeroAlloc pins that complete-subblock fills
+// allocate nothing, from a freshly built TLB on: every slot's frames
+// are a fixed window of the TLB's slab and the block index is sized at
+// build time, so filling four times as many blocks as entries — never-
+// used slots first, then a new block tag taking a reused slot on every
+// fill — allocates no memory.
+func TestCompleteSubblockFillZeroAlloc(t *testing.T) {
+	const entries, blocks = 64, 256
+	block := make([][]pte.Entry, blocks)
+	for b := range block {
+		for i := addr.VPN(0); i < 16; i++ {
+			vpn := addr.VPN(b)<<4 + i
+			block[b] = append(block[b], base(vpn, addr.PPN(vpn)+7))
+		}
+	}
+	fills := []struct {
+		name string
+		fill func(tl *TLB)
+	}{
+		{"InsertBlock", func(tl *TLB) {
+			for b := range block {
+				tl.InsertBlock(addr.VPBN(b), block[b])
+			}
+		}},
+		{"Insert", func(tl *TLB) {
+			for b := range block {
+				tl.Insert(block[b][b%16])
+				tl.Insert(block[b][(b+5)%16]) // subblock fill into the same slot
+			}
+		}},
+	}
+	for _, f := range fills {
+		for _, scan := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/scan=%v", f.name, scan), func(t *testing.T) {
+				// AllocsPerRun calls the function runs+1 times; each call
+				// fills a TLB no fill has touched.
+				const runs = 20
+				tlbs := make([]*TLB, runs+1)
+				for i := range tlbs {
+					tlbs[i] = MustNew(Config{Kind: CompleteSubblock, Entries: entries, Scan: scan})
+				}
+				next := 0
+				if n := testing.AllocsPerRun(runs, func() { f.fill(tlbs[next]); next++ }); n != 0 {
+					t.Fatalf("%d block fills into a fresh %d-entry TLB: %v allocs, want 0", blocks, entries, n)
+				}
+				if st := tlbs[runs].Stats(); st.Replacements == 0 {
+					t.Fatal("no slot was reused")
+				}
+			})
+		}
 	}
 }
 
