@@ -31,6 +31,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzArenaOps -fuzztime $(FUZZTIME) ./internal/ptalloc/
 	$(GO) test -run '^$$' -fuzz FuzzTLBIndex -fuzztime $(FUZZTIME) ./internal/tlb/
 	$(GO) test -run '^$$' -fuzz FuzzChurnOps -fuzztime $(FUZZTIME) ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzReplicaOps -fuzztime $(FUZZTIME) ./internal/service/
 
 # bench runs every benchmark once — a compile-and-smoke pass, not a
 # measurement; use -benchtime with the go tool directly for numbers.
@@ -38,12 +39,12 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # bench-alloc measures the arena storage layer — fresh vs pooled table
-# builds and the walk-path Touch — and snapshots the result as
+# builds and the walk-path line spans — and snapshots the result as
 # BENCH_alloc.json (via cmd/benchjson, benchstat-compatible input).
 # Regenerate after storage-layer changes and commit the diff.
 bench-alloc:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkBuild(Fresh|Pooled)|BenchmarkFigure9RowPooled' -benchmem -count 3 ./internal/sim/ ; \
-	  $(GO) test -run '^$$' -bench BenchmarkMeterTouch -benchmem -count 3 ./internal/memcost/ ; } \
+	  $(GO) test -run '^$$' -bench BenchmarkSpan -benchmem -count 3 ./internal/memcost/ ; } \
 	| $(GO) run ./cmd/benchjson > BENCH_alloc.json
 
 # bench-replay measures the reference-replay fast path — indexed vs

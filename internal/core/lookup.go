@@ -2,7 +2,6 @@ package core
 
 import (
 	"clusterpt/internal/addr"
-	"clusterpt/internal/memcost"
 	"clusterpt/internal/pagetable"
 	"clusterpt/internal/pte"
 )
@@ -47,26 +46,24 @@ func (t *Table) Lookup(va addr.V) (pte.Entry, pagetable.WalkCost, bool) {
 }
 
 func (t *Table) lookupLocked(b *bucket, vpbn addr.VPBN, vpn addr.VPN, boff uint64) (pte.Entry, pagetable.WalkCost, bool) {
-	var meter memcost.Meter
+	m := t.cfg.CostModel
 	cost := pagetable.WalkCost{Probes: 1}
+	hdrLines := m.Span(0, headerBytes)
 	for nd := b.head; nd != nil; nd = nd.next {
 		cost.Nodes++
 		if nd.vpbn != vpbn {
 			// Tag mismatch: only the tag and next pointer were read.
-			meter.Touch(t.cfg.CostModel, [2]int{0, headerBytes})
+			cost.Lines += hdrLines
 			continue
 		}
 		w, byteOff, covers := nd.wordAt(boff)
-		meter.Touch(t.cfg.CostModel,
-			[2]int{0, headerBytes}, [2]int{byteOff, pte.WordBytes})
+		cost.Lines += m.Span2(0, headerBytes, byteOff, pte.WordBytes)
 		if covers {
-			cost.Lines = meter.Lines()
 			return pte.EntryFromWord(w, vpn, boff), cost, true
 		}
 	}
 	// The bucket array holds the chains' first nodes (Figure 4), so even
 	// a probe of an empty bucket reads one line.
-	cost.Lines = meter.Lines()
 	if cost.Lines == 0 {
 		cost.Lines = 1
 	}
@@ -93,20 +90,19 @@ func (t *Table) AppendBlock(dst []pte.Entry, vpbn addr.VPBN, logSBF uint) ([]pte
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 
-	var meter memcost.Meter
+	m := t.cfg.CostModel
 	cost := pagetable.WalkCost{Probes: 1}
+	hdrLines := m.Span(0, headerBytes)
 	entries := dst
 	sbf := uint64(t.cfg.SubblockFactor)
 	for nd := b.head; nd != nil; nd = nd.next {
 		cost.Nodes++
 		if nd.vpbn != vpbn {
-			meter.Touch(t.cfg.CostModel, [2]int{0, headerBytes})
+			cost.Lines += hdrLines
 			continue
 		}
 		// Matching node: the prefetch reads all its mapping words.
-		meter.Touch(t.cfg.CostModel,
-			[2]int{0, headerBytes},
-			[2]int{headerBytes, len(nd.words) * pte.WordBytes})
+		cost.Lines += m.Span2(0, headerBytes, headerBytes, len(nd.words)*pte.WordBytes)
 		for boff := uint64(0); boff < sbf; boff++ {
 			w, _, covers := nd.wordAt(boff)
 			if !covers {
@@ -116,7 +112,6 @@ func (t *Table) AppendBlock(dst []pte.Entry, vpbn addr.VPBN, logSBF uint) ([]pte
 			entries = append(entries, pte.EntryFromWord(w, vpn, boff))
 		}
 	}
-	cost.Lines = meter.Lines()
 	return entries, cost, len(entries) > len(dst)
 }
 

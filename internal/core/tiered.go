@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"clusterpt/internal/addr"
-	"clusterpt/internal/memcost"
 	"clusterpt/internal/pagetable"
 	"clusterpt/internal/ptalloc"
 	"clusterpt/internal/pte"
@@ -244,22 +243,21 @@ func (c *coarseTable) lookup(va addr.V) (pte.Entry, pagetable.WalkCost, bool) {
 	b := c.bucketFor(block)
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	var meter memcost.Meter
+	m := c.cfg.CostModel
 	cost := pagetable.WalkCost{Probes: 1}
+	hdrLines := m.Span(0, headerBytes)
 	for nd := b.head; nd != nil; nd = nd.next {
 		cost.Nodes++
 		if nd.block != block {
-			meter.Touch(c.cfg.CostModel, [2]int{0, headerBytes})
+			cost.Lines += hdrLines
 			continue
 		}
 		w, off := nd.wordFor(unit)
-		meter.Touch(c.cfg.CostModel, [2]int{0, headerBytes}, [2]int{off, pte.WordBytes})
+		cost.Lines += m.Span2(0, headerBytes, off, pte.WordBytes)
 		if w.Valid() {
-			cost.Lines = meter.Lines()
 			return pte.EntryFromWord(w, vpn, 0), cost, true
 		}
 	}
-	cost.Lines = meter.Lines()
 	if cost.Lines == 0 {
 		cost.Lines = 1
 	}

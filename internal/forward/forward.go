@@ -199,17 +199,15 @@ func (t *Table) Lookup(va addr.V) (pte.Entry, pagetable.WalkCost, bool) {
 }
 
 func (t *Table) lookupLocked(vpn addr.VPN) (pte.Entry, pagetable.WalkCost, bool) {
-	var meter memcost.Meter
 	var cost pagetable.WalkCost
 	cost.Probes = 1
 	nd := t.root
 	for lvl := 0; lvl < len(t.cfg.LevelBits); lvl++ {
 		cost.Nodes++
 		s := t.slot(vpn, lvl)
-		meter.Touch(t.cfg.CostModel, [2]int{int(s) * pte.WordBytes, pte.WordBytes})
+		cost.Lines += t.cfg.CostModel.Span(int(s)*pte.WordBytes, pte.WordBytes)
 		ent := &nd.entries[s]
 		if ent.word.Valid() {
-			cost.Lines = meter.Lines()
 			boff := uint64(vpn) & (1<<t.cfg.LogSBF - 1)
 			if ent.word.Kind() == pte.KindPartial && !ent.word.ValidAt(boff) {
 				return pte.Entry{}, cost, false
@@ -217,12 +215,10 @@ func (t *Table) lookupLocked(vpn addr.VPN) (pte.Entry, pagetable.WalkCost, bool)
 			return pte.EntryFromWord(ent.word, vpn, boff), cost, true
 		}
 		if ent.child == nil {
-			cost.Lines = meter.Lines()
 			return pte.Entry{}, cost, false
 		}
 		nd = ent.child
 	}
-	cost.Lines = meter.Lines()
 	return pte.Entry{}, cost, false
 }
 

@@ -140,20 +140,18 @@ func (t *Table) Lookup(va addr.V) (pte.Entry, pagetable.WalkCost, bool) {
 }
 
 func (t *Table) lookupLocked(b *bucket, vpn addr.VPN) (pte.Entry, pagetable.WalkCost, bool) {
-	var meter memcost.Meter
 	cost := pagetable.WalkCost{Probes: 1}
+	// A whole 24-byte node fits in one line at any modeled geometry.
+	nodeLines := t.cfg.CostModel.Span(0, int(t.nodeBytes()))
 	for nd := b.head; nd != nil; nd = nd.next {
 		cost.Nodes++
-		// A whole 24-byte node fits in one line at any modeled geometry.
-		meter.Touch(t.cfg.CostModel, [2]int{0, int(t.nodeBytes())})
+		cost.Lines += nodeLines
 		if nd.vpn == vpn && nd.word.Valid() {
-			cost.Lines = meter.Lines()
 			return pte.EntryFromWord(nd.word, vpn, 0), cost, true
 		}
 	}
 	// The bucket array holds the chains' first nodes (Figure 4): probing
 	// an empty bucket still reads one line.
-	cost.Lines = meter.Lines()
 	if cost.Lines == 0 {
 		cost.Lines = 1
 	}

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"clusterpt/internal/addr"
-	"clusterpt/internal/memcost"
 	"clusterpt/internal/pagetable"
 	"clusterpt/internal/ptalloc"
 	"clusterpt/internal/pte"
@@ -96,22 +95,20 @@ func (t *InvertedTable) anchorFor(vpn addr.VPN) int {
 func (t *InvertedTable) Lookup(va addr.V) (pte.Entry, pagetable.WalkCost, bool) {
 	vpn := addr.VPNOf(va)
 	t.mu.RLock()
-	var meter memcost.Meter
-	cost := pagetable.WalkCost{Probes: 1}
 	// The anchor table access is one line.
-	meter.AddLines(1)
+	cost := pagetable.WalkCost{Probes: 1, Lines: 1}
+	entryLines := t.cfg.CostModel.Span(0, invEntryBytes)
 	var e pte.Entry
 	ok := false
 	for idx := t.anchors[t.anchorFor(vpn)]; idx >= 0; idx = t.entries[idx].next {
 		cost.Nodes++
-		meter.Touch(t.cfg.CostModel, [2]int{0, invEntryBytes})
+		cost.Lines += entryLines
 		ent := &t.entries[idx]
 		if ent.word.Valid() && ent.vpn == vpn {
 			e, ok = pte.EntryFromWord(ent.word, vpn, 0), true
 			break
 		}
 	}
-	cost.Lines = meter.Lines()
 	t.mu.RUnlock()
 
 	t.mu.Lock()

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"clusterpt/internal/addr"
-	"clusterpt/internal/memcost"
 	"clusterpt/internal/pagetable"
 	"clusterpt/internal/ptalloc"
 	"clusterpt/internal/pte"
@@ -78,19 +77,17 @@ func (t *wordTable) lookup(key uint64) (pte.Word, pagetable.WalkCost, bool) {
 	b := t.bucketFor(key)
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	var meter memcost.Meter
 	cost := pagetable.WalkCost{Probes: 1}
+	nodeLines := t.cfg.CostModel.Span(0, nodeBytes)
 	for nd := b.head; nd != nil; nd = nd.next {
 		cost.Nodes++
-		meter.Touch(t.cfg.CostModel, [2]int{0, nodeBytes})
+		cost.Lines += nodeLines
 		if nd.key == key && nd.word.Valid() {
-			cost.Lines = meter.Lines()
 			return nd.word, cost, true
 		}
 	}
 	// Probing an empty bucket still reads the bucket array's (invalid)
 	// first node: one line.
-	cost.Lines = meter.Lines()
 	if cost.Lines == 0 {
 		cost.Lines = 1
 	}

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"clusterpt/internal/addr"
-	"clusterpt/internal/memcost"
 	"clusterpt/internal/pagetable"
 	"clusterpt/internal/ptalloc"
 	"clusterpt/internal/pte"
@@ -92,13 +91,13 @@ func (t *SPIndexTable) Lookup(va addr.V) (pte.Entry, pagetable.WalkCost, bool) {
 	vpbn, boff := addr.BlockSplit(vpn, t.logSBF)
 	b := t.bucketFor(vpbn)
 	b.mu.RLock()
-	var meter memcost.Meter
 	cost := pagetable.WalkCost{Probes: 1}
+	nodeLines := t.cfg.CostModel.Span(0, nodeBytes)
 	var e pte.Entry
 	ok := false
 	for nd := b.head; nd != nil; nd = nd.next {
 		cost.Nodes++
-		meter.Touch(t.cfg.CostModel, [2]int{0, nodeBytes})
+		cost.Lines += nodeLines
 		if !nd.word.Valid() {
 			continue
 		}
@@ -118,7 +117,6 @@ func (t *SPIndexTable) Lookup(va addr.V) (pte.Entry, pagetable.WalkCost, bool) {
 		e, ok = pte.EntryFromWord(nd.word, vpn, boff), true
 		break
 	}
-	cost.Lines = meter.Lines()
 	if cost.Lines == 0 {
 		cost.Lines = 1 // empty bucket: the array's first node is read
 	}

@@ -185,10 +185,8 @@ func (t *Table) Lookup(va addr.V) (pte.Entry, pagetable.WalkCost, bool) {
 
 func (t *Table) lookupLocked(vpn addr.VPN) (pte.Entry, pagetable.WalkCost, bool) {
 	cost := pagetable.WalkCost{Probes: 1, Nodes: 1}
-	var meter memcost.Meter
 	off := int(uint64(vpn)&(entriesPerPage-1)) * pte.WordBytes
-	meter.Touch(t.cfg.CostModel, [2]int{off, pte.WordBytes})
-	cost.Lines = meter.Lines()
+	cost.Lines = t.cfg.CostModel.Span(off, pte.WordBytes)
 	pg, ok := t.leaf[LeafPageIndex(vpn)]
 	if !ok {
 		return pte.Entry{}, cost, false

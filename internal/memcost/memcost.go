@@ -33,81 +33,41 @@ func NewModel(lineSize int) Model {
 
 // Span counts the distinct cache lines covered by the byte range
 // [off, off+length) within an object that starts on a line boundary.
+// Offsets are non-negative; a non-positive length covers no line.
+// LineSize is a power of two (NewModel validates), so the line index of
+// a byte is its offset shifted right by log2(LineSize).
 func (m Model) Span(off, length int) int {
 	if length <= 0 {
 		return 0
 	}
-	first := off / m.LineSize
-	last := (off + length - 1) / m.LineSize
-	return last - first + 1
+	sh := m.lineShift()
+	return (off+length-1)>>sh - off>>sh + 1
 }
 
-// Meter accumulates the lines touched during one page-table walk. Each
-// Touch names a byte range relative to the start of one line-aligned
-// object; ranges within the same object passed to a single Touch call are
-// deduplicated at line granularity.
-type Meter struct {
-	lines int
-	refs  int
-}
-
-// touchMaskLines is how many line indices the Touch fast path tracks in
-// its stack bitmask. Page-table nodes are at most a few cache lines, so
-// any index under 256 — every real walk — stays allocation-free.
-const touchMaskLines = 256
-
-// Touch records an access to byte ranges of one object (each range is
-// {off, len}). Distinct objects require distinct Touch calls because each
-// object starts on its own line boundary.
-//
-// Touch runs on every simulated memory reference of every walk, so it
-// must not allocate: lines are deduplicated in a fixed bitmask on the
-// stack, spilling to a map only for offsets ≥ touchMaskLines·LineSize.
-func (c *Meter) Touch(m Model, ranges ...[2]int) {
-	var seen [touchMaskLines / 64]uint64
-	var far map[int]bool // overflow dedupe, nil on the fast path
-	for _, r := range ranges {
-		off, length := r[0], r[1]
-		if length <= 0 {
-			continue
-		}
-		c.refs++
-		first := off / m.LineSize
-		last := (off + length - 1) / m.LineSize
-		for l := first; l <= last; l++ {
-			if l >= 0 && l < touchMaskLines {
-				seen[l>>6] |= 1 << (l & 63)
-				continue
-			}
-			if far == nil {
-				far = map[int]bool{}
-			}
-			far[l] = true
-		}
+// Span2 counts the distinct cache lines covered by two ordered,
+// non-overlapping byte ranges of one line-aligned object (the second
+// starts at or after the first ends): the two spans, less the line they
+// share when the first range ends on the line the second begins on.
+func (m Model) Span2(off1, len1, off2, len2 int) int {
+	if len1 <= 0 {
+		return m.Span(off2, len2)
 	}
-	n := len(far)
-	for _, w := range seen {
-		n += bits.OnesCount64(w)
+	if len2 <= 0 {
+		return m.Span(off1, len1)
 	}
-	c.lines += n
+	sh := m.lineShift()
+	last1, first2 := (off1+len1-1)>>sh, off2>>sh
+	n := last1 - off1>>sh + 1 + (off2+len2-1)>>sh - first2 + 1
+	if last1 == first2 {
+		n--
+	}
+	return n
 }
 
-// AddLines records n whole-line accesses directly; used by models that
-// know their line count analytically (e.g. "linear page tables always
-// access one cache line", §6.1).
-func (c *Meter) AddLines(n int) {
-	c.lines += n
-	c.refs += n
+// lineShift is log2(LineSize).
+func (m Model) lineShift() uint {
+	return uint(bits.TrailingZeros(uint(m.LineSize)))
 }
-
-// Lines returns the number of distinct cache lines touched.
-func (c *Meter) Lines() int { return c.lines }
-
-// Refs returns the number of memory references recorded.
-func (c *Meter) Refs() int { return c.refs }
-
-// Reset clears the meter for reuse.
-func (c *Meter) Reset() { c.lines, c.refs = 0, 0 }
 
 // Tally aggregates walk costs across an experiment.
 type Tally struct {
@@ -117,13 +77,6 @@ type Tally struct {
 	Lines uint64
 	// Refs is the total memory references across all walks.
 	Refs uint64
-}
-
-// Add folds one walk's meter into the tally.
-func (t *Tally) Add(m *Meter) {
-	t.Events++
-	t.Lines += uint64(m.Lines())
-	t.Refs += uint64(m.Refs())
 }
 
 // AddCost folds a raw line count into the tally.

@@ -32,20 +32,16 @@ func TestSpanMaxPPNOffsets(t *testing.T) {
 	}
 }
 
-// TestMeterMaxPPNCost mirrors the Span cases through the Meter path the
-// walk simulations actually use.
+// TestMeterMaxPPNCost mirrors the Span cases through the two-range
+// shape the walks use.
 func TestMeterMaxPPNCost(t *testing.T) {
 	m := NewModel(256)
-	var meter Meter
 	off := (1 << 52) * 8
-	meter.Touch(m, [2]int{off, 8}, [2]int{off + 8, 8})
-	if meter.Lines() != 1 {
-		t.Errorf("adjacent max-PPN slots: Lines = %d, want 1", meter.Lines())
+	if got := m.Span2(off, 8, off+8, 8); got != 1 {
+		t.Errorf("adjacent max-PPN slots: lines = %d, want 1", got)
 	}
-	meter.Reset()
-	meter.Touch(m, [2]int{off, 512})
-	if meter.Lines() != 2 {
-		t.Errorf("two-line range at max offset: Lines = %d, want 2", meter.Lines())
+	if got := m.Span(off, 512); got != 2 {
+		t.Errorf("two-line range at max offset: lines = %d, want 2", got)
 	}
 }
 

@@ -51,15 +51,13 @@ func TestClusteredPTELineCrossing(t *testing.T) {
 		m := NewModel(c.lineSize)
 		spills := 0
 		for i := 0; i < 16; i++ {
-			var meter Meter
 			// One walk touching the tag (offset 0..15) and mapping i.
-			meter.Touch(m, [2]int{0, 16}, [2]int{16 + 8*i, 8})
-			switch meter.Lines() {
+			switch n := m.Span2(0, 16, 16+8*i, 8); n {
 			case 1:
 			case 2:
 				spills++
 			default:
-				t.Fatalf("line=%d mapping %d touched %d lines", c.lineSize, i, meter.Lines())
+				t.Fatalf("line=%d mapping %d touched %d lines", c.lineSize, i, n)
 			}
 		}
 		if spills != c.spills {
@@ -68,44 +66,35 @@ func TestClusteredPTELineCrossing(t *testing.T) {
 	}
 }
 
+// TestMeterDedupWithinTouch pins line dedupe across the ranges of one
+// object: adjacent words on one line count once, a word on the next
+// line adds one.
 func TestMeterDedupWithinTouch(t *testing.T) {
 	m := NewModel(256)
-	var meter Meter
-	meter.Touch(m, [2]int{0, 8}, [2]int{8, 8}, [2]int{300, 8})
-	if meter.Lines() != 2 {
-		t.Errorf("Lines = %d, want 2", meter.Lines())
+	if got := m.Span2(0, 8, 8, 8); got != 1 {
+		t.Errorf("Span2(0,8,8,8) = %d, want 1", got)
 	}
-	if meter.Refs() != 3 {
-		t.Errorf("Refs = %d, want 3", meter.Refs())
+	if got := m.Span2(8, 8, 300, 8); got != 2 {
+		t.Errorf("Span2(8,8,300,8) = %d, want 2", got)
+	}
+	if got := m.Span2(0, 16, 300, 8); got != 2 {
+		t.Errorf("Span2(0,16,300,8) = %d, want 2", got)
 	}
 }
 
+// TestMeterSeparateObjects pins the per-object convention: two distinct
+// hash nodes each start on their own line even though their offsets
+// coincide, so their spans add.
 func TestMeterSeparateObjects(t *testing.T) {
 	m := NewModel(256)
-	var meter Meter
-	// Two distinct hash nodes: each on its own line even though offsets
-	// coincide.
-	meter.Touch(m, [2]int{0, 24})
-	meter.Touch(m, [2]int{0, 24})
-	if meter.Lines() != 2 {
-		t.Errorf("Lines = %d, want 2", meter.Lines())
-	}
-}
-
-func TestMeterReset(t *testing.T) {
-	var meter Meter
-	meter.AddLines(3)
-	meter.Reset()
-	if meter.Lines() != 0 || meter.Refs() != 0 {
-		t.Error("Reset incomplete")
+	if got := m.Span(0, 24) + m.Span(0, 24); got != 2 {
+		t.Errorf("lines = %d, want 2", got)
 	}
 }
 
 func TestTally(t *testing.T) {
 	var tally Tally
-	var meter Meter
-	meter.AddLines(2)
-	tally.Add(&meter)
+	tally.AddCost(2)
 	tally.AddCost(4)
 	if tally.Events != 2 || tally.Lines != 6 {
 		t.Errorf("tally = %+v", tally)
@@ -125,9 +114,14 @@ func TestTally(t *testing.T) {
 }
 
 func TestTouchIgnoresEmptyRanges(t *testing.T) {
-	var meter Meter
-	meter.Touch(NewModel(256), [2]int{0, 0}, [2]int{8, -1})
-	if meter.Lines() != 0 || meter.Refs() != 0 {
+	m := NewModel(256)
+	if m.Span(0, 0) != 0 || m.Span(8, -1) != 0 || m.Span2(0, 0, 8, -1) != 0 {
 		t.Error("empty ranges counted")
+	}
+	if got := m.Span2(0, 0, 8, 8); got != 1 {
+		t.Errorf("Span2 with an empty first range = %d, want 1", got)
+	}
+	if got := m.Span2(0, 8, 8, 0); got != 1 {
+		t.Errorf("Span2 with an empty second range = %d, want 1", got)
 	}
 }

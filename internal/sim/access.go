@@ -165,11 +165,13 @@ func RunFigure11(f Figure, p trace.Profile, cfg AccessConfig) (AccessRow, error)
 // serial and sharded replay paths build it identically; only the loop
 // structure around it differs.
 type figureState struct {
-	variants  []TableVariant
-	builds    []*Build
-	canonical pagetable.PageTable
-	refTLB    *tlb.TLB
-	lins      []*linState
+	variants []TableVariant
+	builds   []*Build
+	// canonIdx indexes the canonical (clustered) variant, whose own walk
+	// on each miss supplies the reference TLB's refill.
+	canonIdx int
+	refTLB   *tlb.TLB
+	lins     []*linState
 
 	// Multi-level hierarchy state (nil / -1 under the default flat
 	// MMUConfig). l2 is the unified L2 TLB shared by the
@@ -183,16 +185,19 @@ type figureState struct {
 	pwcIdx   int
 	pwcUpper int
 
-	// blockBuf is the block-prefetch gather buffer, reused by every
-	// variant walk and the canonical refill of each block miss so the
-	// miss path allocates nothing.
+	// blockBuf is the block-prefetch gather buffer reused by every
+	// non-canonical variant walk, and canonBuf the canonical variant's,
+	// which must survive the later variants' gathers to fill the TLB.
+	// Reusing both keeps the miss path allocation-free.
 	blockBuf []pte.Entry
+	canonBuf []pte.Entry
 }
 
-// newFigureState builds the figure's page tables and TLBs for one
-// process snapshot.
-func newFigureState(f Figure, snap trace.ProcessSnapshot, cfg AccessConfig) (*figureState, error) {
-	st := &figureState{variants: f.Variants(), pwcIdx: -1}
+// newFigureState builds the figure's page tables (one per variant) and
+// TLBs for one process snapshot. The variants must include a clustered
+// build walked on every miss: it refills the reference TLB.
+func newFigureState(f Figure, variants []TableVariant, snap trace.ProcessSnapshot, cfg AccessConfig) (*figureState, error) {
+	st := &figureState{variants: variants, canonIdx: -1, pwcIdx: -1}
 	mode := f.Mode()
 
 	// builds is index-aligned with variants; the replay loop never keys
@@ -204,9 +209,12 @@ func newFigureState(f Figure, snap trace.ProcessSnapshot, cfg AccessConfig) (*fi
 			return nil, err
 		}
 		st.builds[i] = b
-		if v.Class == LCClustered {
-			st.canonical = b.Table
+		if v.Class == LCClustered && v.ReservedTLB == 0 {
+			st.canonIdx = i
 		}
+	}
+	if st.canonIdx < 0 {
+		return nil, fmt.Errorf("sim: %v has no clustered variant to refill the reference TLB", f)
 	}
 
 	kind := f.TLBKind()
@@ -281,7 +289,7 @@ func runProcess(f Figure, snap trace.ProcessSnapshot, refs int, cfg AccessConfig
 	}
 
 	var lines lineCounts
-	st, err := newFigureState(f, snap, cfg)
+	st, err := newFigureState(f, f.Variants(), snap, cfg)
 	if err != nil {
 		return lines, 0, 0, 0, err
 	}
@@ -316,7 +324,8 @@ func runProcess(f Figure, snap trace.ProcessSnapshot, refs int, cfg AccessConfig
 // and skips every walk); on a full miss it walks every non-linear page
 // table for the faulting address — eliding the tree-walked variant's
 // upper levels on a page-walk-cache hit — and refills the reference
-// TLB (and the L2) from the canonical (clustered) build.
+// TLB (and the L2) with what the canonical (clustered) variant's own
+// walk returned, so no table is walked twice.
 func serviceMiss(f Figure, va addr.V, res tlb.Result, st *figureState, lines *lineCounts) error {
 	vpn := addr.VPNOf(va)
 	if st.l2 != nil {
@@ -348,38 +357,41 @@ func serviceMiss(f Figure, va addr.V, res tlb.Result, st *figureState, lines *li
 			if !ok {
 				return fmt.Errorf("variant %q cannot prefetch blocks", v.Name)
 			}
-			entries, cost, found := br.AppendBlock(st.blockBuf[:0], vpbn, 4)
+			buf := &st.blockBuf
+			if i == st.canonIdx {
+				buf = &st.canonBuf
+			}
+			entries, cost, found := br.AppendBlock((*buf)[:0], vpbn, 4)
 			if !found {
 				return fmt.Errorf("variant %q lost block %#x", v.Name, uint64(vpbn))
 			}
-			st.blockBuf = entries
+			*buf = entries
 			l := cost.Lines
 			if pwcHit && i == st.pwcIdx {
 				l = walkcache.ElideLines(l, st.pwcUpper)
 			}
 			lines[v.Class] += uint64(l)
 		}
-		entries, _, found := st.canonical.(pagetable.BlockReader).AppendBlock(st.blockBuf[:0], vpbn, 4)
-		if !found {
-			return fmt.Errorf("canonical table lost block %#x", uint64(vpbn))
-		}
-		st.blockBuf = entries
-		st.refTLB.InsertBlock(vpbn, entries)
+		st.refTLB.InsertBlock(vpbn, st.canonBuf)
 		if st.l2 != nil {
-			for _, e := range entries {
+			for _, e := range st.canonBuf {
 				st.l2.Insert(e)
 			}
 		}
 		return nil
 	}
 
+	var refill pte.Entry
 	for i, v := range st.variants {
 		if v.ReservedTLB > 0 {
 			continue
 		}
-		_, cost, ok := st.builds[i].Table.Lookup(va)
+		e, cost, ok := st.builds[i].Table.Lookup(va)
 		if !ok {
 			return fmt.Errorf("variant %q lost vpn %#x", v.Name, uint64(vpn))
+		}
+		if i == st.canonIdx {
+			refill = e
 		}
 		l := cost.Lines
 		if pwcHit && i == st.pwcIdx {
@@ -387,13 +399,9 @@ func serviceMiss(f Figure, va addr.V, res tlb.Result, st *figureState, lines *li
 		}
 		lines[v.Class] += uint64(l)
 	}
-	e, _, ok := st.canonical.Lookup(va)
-	if !ok {
-		return fmt.Errorf("canonical table lost vpn %#x", uint64(vpn))
-	}
-	st.refTLB.Insert(e)
+	st.refTLB.Insert(refill)
 	if st.l2 != nil {
-		st.l2.Insert(e)
+		st.l2.Insert(refill)
 	}
 	return nil
 }

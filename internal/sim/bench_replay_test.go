@@ -72,8 +72,8 @@ func BenchmarkFigure11Sharded(b *testing.B) {
 
 // BenchmarkFigure11Prefetch measures Figure 11d, the complete-subblock
 // TLB with block prefetch (§4.4): every block miss gathers the whole
-// block from all five tables (four variants plus the canonical refill),
-// so it times the block-gather and block-fill paths the Figure 11a
+// block from all four variant tables (the reference TLB's refill reuses
+// the clustered variant's gather), so it times the block-gather and block-fill paths the Figure 11a
 // benchmarks above never reach. serial is the single-lane loop, s4 the
 // sharded pipeline with memoized gathers.
 func BenchmarkFigure11Prefetch(b *testing.B) {

@@ -114,7 +114,7 @@ func TestFig11dBlockMissZeroAlloc(t *testing.T) {
 			}
 			cfg := AccessConfig{MMU: mcfg}
 			cfg.fill()
-			st, err := newFigureState(Fig11d, snap, cfg)
+			st, err := newFigureState(Fig11d, Fig11d.Variants(), snap, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

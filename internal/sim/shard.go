@@ -82,9 +82,12 @@ func releaseChunk(c *shardChunk, recycle chan<- *shardChunk) {
 // canonMemo services the reference TLB's misses on the driver lane,
 // memoizing the canonical table's per-page lookup results. The memo is
 // exact: built page tables are immutable during replay, so Lookup and
-// LookupBlock are pure functions of the page, and the serial path
-// already discards the canonical walk's cost (serviceMiss charges only
-// the variant walks).
+// LookupBlock are pure functions of the page, and the refill carries no
+// cost (the walk lanes charge the clustered variant's walk on their own).
+// Unlike the serial serviceMiss, which reuses that variant walk's result,
+// the driver walks the canonical table independently: the walk lanes run
+// concurrently with it, and the separate walk keeps this pipeline an
+// independent check of the serial path.
 type canonMemo struct {
 	f      Figure
 	table  pagetable.PageTable
@@ -99,7 +102,7 @@ type canonMemo struct {
 func newCanonMemo(f Figure, st *figureState) *canonMemo {
 	return &canonMemo{
 		f:      f,
-		table:  st.canonical,
+		table:  st.builds[st.canonIdx].Table,
 		pages:  make(map[addr.VPN]pte.Entry),
 		blocks: make(map[addr.VPBN][]pte.Entry),
 		l2:     st.l2,
@@ -432,7 +435,7 @@ func (l *linLane) service(li int, ls *linState, va addr.V) error {
 // runs the walks inline between generating chunks. Chunk buffers cycle
 // through cfg.Buf's free list, so the steady state allocates nothing.
 func runProcessSharded(f Figure, snap trace.ProcessSnapshot, refs int, cfg AccessConfig, lanes int) (lineCounts, uint64, uint64, uint64, error) {
-	st, err := newFigureState(f, snap, cfg)
+	st, err := newFigureState(f, f.Variants(), snap, cfg)
 	if err != nil {
 		return lineCounts{}, 0, 0, 0, err
 	}

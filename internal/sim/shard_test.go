@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"testing"
 
+	"clusterpt/internal/memcost"
 	"clusterpt/internal/trace"
 )
 
@@ -34,28 +35,60 @@ func figureRowsEqual(t *testing.T, label string, got, want AccessRow) {
 // for two workloads (gcc: multi-process, mixed patterns; mp3d:
 // single-process) and all four figures, the sharded row at lane counts
 // 1, 2, 4, and 8 equals the serial row exactly. Shards=1 exercises the
-// dispatch fallthrough to the serial loop.
+// dispatch fallthrough to the serial loop. The line-size axis adds 64
+// and 128-byte lines, where a clustered node's header and mapping word
+// can fall on different lines (§6.3): the serial path refills the TLB
+// from the clustered variant's own walk while the sharded driver walks
+// the canonical table separately, so both must agree at every geometry.
 func TestFigure11ShardIdentity(t *testing.T) {
 	for _, name := range []string{"gcc", "mp3d"} {
 		p, ok := trace.ProfileByName(name)
 		if !ok {
 			t.Fatalf("no %s profile", name)
 		}
-		for _, f := range []Figure{Fig11a, Fig11b, Fig11c, Fig11d} {
-			serial, err := RunFigure11(f, p, AccessConfig{Refs: 50_000, Buf: &ReplayBuf{}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, shards := range []int{1, 2, 4, 8} {
-				row, err := RunFigure11(f, p, AccessConfig{
-					Refs: 50_000, Shards: shards, Buf: &ReplayBuf{},
-				})
+		for _, lineSize := range []int{256, 128, 64} {
+			model := memcost.NewModel(lineSize)
+			for _, f := range []Figure{Fig11a, Fig11b, Fig11c, Fig11d} {
+				serial, err := RunFigure11(f, p, AccessConfig{Refs: 50_000, LineModel: model, Buf: &ReplayBuf{}})
 				if err != nil {
 					t.Fatal(err)
 				}
-				figureRowsEqual(t, fmt.Sprintf("%s/%v/shards=%d", name, f, shards), row, serial)
+				for _, shards := range []int{1, 2, 4, 8} {
+					row, err := RunFigure11(f, p, AccessConfig{
+						Refs: 50_000, LineModel: model, Shards: shards, Buf: &ReplayBuf{},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					figureRowsEqual(t, fmt.Sprintf("%s/line=%d/%v/shards=%d", name, lineSize, f, shards), row, serial)
+				}
 			}
 		}
+	}
+}
+
+// TestNewFigureStateNeedsClustered pins the refill precondition: the
+// reference TLB refills from the clustered variant's walk, so a variant
+// set without a clustered build is rejected up front rather than failing
+// on the first miss.
+func TestNewFigureStateNeedsClustered(t *testing.T) {
+	p, ok := trace.ProfileByName("mp3d")
+	if !ok {
+		t.Fatal("no mp3d profile")
+	}
+	cfg := AccessConfig{}
+	cfg.fill()
+	var noClustered []TableVariant
+	for _, v := range Fig11a.Variants() {
+		if v.Class != LCClustered {
+			noClustered = append(noClustered, v)
+		}
+	}
+	if _, err := newFigureState(Fig11a, noClustered, p.Snapshot()[0], cfg); err == nil {
+		t.Fatal("newFigureState accepted variants without a clustered build")
+	}
+	if _, err := newFigureState(Fig11a, Fig11a.Variants(), p.Snapshot()[0], cfg); err != nil {
+		t.Fatalf("full variant set rejected: %v", err)
 	}
 }
 

@@ -197,7 +197,6 @@ func (c *Cache) Probe(va addr.V) (pte.Entry, pagetable.WalkCost, bool) {
 	c.stats.Accesses++
 	set := c.setFor(key)
 	c.tick++
-	var meter memcost.Meter
 	probeCost := pagetable.WalkCost{Probes: 1, Nodes: 1}
 	for i := range set {
 		ent := &set[i]
@@ -210,24 +209,20 @@ func (c *Cache) Probe(va addr.V) (pte.Entry, pagetable.WalkCost, bool) {
 			if !w.Valid() {
 				break // block cached but page absent: treat as miss
 			}
-			meter.Touch(c.cfg.CostModel,
-				[2]int{0, 8}, [2]int{8 + int(boff)*pte.WordBytes, pte.WordBytes})
-			probeCost.Lines = meter.Lines()
+			probeCost.Lines = c.cfg.CostModel.Span2(0, 8, 8+int(boff)*pte.WordBytes, pte.WordBytes)
 			ent.lru = c.tick
 			c.stats.Hits++
 			c.mu.Unlock()
 			return pte.EntryFromWord(w, vpn, boff), probeCost, true
 		}
-		meter.Touch(c.cfg.CostModel, [2]int{0, c.entryBytes()})
-		probeCost.Lines = meter.Lines()
+		probeCost.Lines = c.cfg.CostModel.Span(0, c.entryBytes())
 		ent.lru = c.tick
 		c.stats.Hits++
 		c.mu.Unlock()
 		return pte.EntryFromWord(ent.words[0], vpn, 0), probeCost, true
 	}
 	// Miss: the failed probe touched the set's tags.
-	meter.Touch(c.cfg.CostModel, [2]int{0, c.entryBytes() * len(set)})
-	probeCost.Lines = meter.Lines()
+	probeCost.Lines = c.cfg.CostModel.Span(0, c.entryBytes()*len(set))
 	c.stats.Misses++
 	c.mu.Unlock()
 	return pte.Entry{}, probeCost, false
