@@ -76,15 +76,17 @@ bench-mmu:
 	| $(GO) run ./cmd/benchjson > BENCH_mmu.json
 
 # bench-replica measures the replicated page-table service — read
-# scaling across goroutines × replication factor (with the plain
-# single-table Service as the factor-1 baseline) and the broadcast
-# write cost that climbs with the factor — and snapshots the result as
-# BENCH_replica.json. The read-mostly claim lives here: R=8/g8 vs
-# R=1/g8 is the contention the replication removes — on a multi-core
-# host; with one CPU the read curves collapse to serial cost (the
-# write curve's linear climb with R shows regardless). Regenerate
-# after service or replication changes and commit the diff.
+# scaling across goroutines × replication factor, on a cache-hit and a
+# cache-miss working set (with the plain single-table Service as the
+# factor-1 baseline), and the broadcast write cost that climbs with the
+# factor — and snapshots the result as BENCH_replica.json. The
+# read-mostly claim lives in the Miss rows: R=8/g8 vs R=1/g8 is the
+# contention the replication removes — on a multi-core host; with one
+# CPU the read curves collapse to serial cost (the write curve's linear
+# climb with R shows regardless). The snapshot's context records the
+# GOMAXPROCS it ran with. Regenerate after service or replication
+# changes and commit the diff.
 bench-replica:
-	$(GO) test -run '^$$' -bench 'BenchmarkReplicatedRead|BenchmarkSingleServiceRead|BenchmarkReplicatedWrite' \
+	$(GO) test -run '^$$' -bench 'BenchmarkReplicatedRead(Hit|Miss)|BenchmarkSingleServiceRead(Hit|Miss)|BenchmarkReplicatedWrite' \
 	  -benchmem -count 3 ./internal/service/ \
 	| $(GO) run ./cmd/benchjson > BENCH_replica.json

@@ -8,7 +8,8 @@
 //
 // Repeated lines for the same benchmark (from -count) are averaged and
 // the sample count recorded. Context lines (goos/goarch/pkg/cpu) are
-// carried into the report header; everything else is ignored.
+// carried into the report header, with the GOMAXPROCS values read off
+// the name suffixes; everything else is ignored.
 //
 // Usage:
 //
@@ -21,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -86,9 +88,14 @@ func parse(r io.Reader) (*report, error) {
 		}
 		name := fields[0]
 		// Strip the -GOMAXPROCS suffix so reports diff cleanly across
-		// machines with different core counts.
+		// machines with different core counts, and keep the CPU counts
+		// seen in the context so a snapshot still says what it ran on.
 		if i := strings.LastIndex(name, "-"); i > 0 {
 			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+				procs := ctx["gomaxprocs"]
+				if !slices.Contains(strings.Split(procs, ","), name[i+1:]) {
+					ctx["gomaxprocs"] = strings.TrimPrefix(procs+","+name[i+1:], ",")
+				}
 				name = name[:i]
 			}
 		}

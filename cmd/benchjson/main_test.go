@@ -42,7 +42,7 @@ func TestParseAggregates(t *testing.T) {
 	if pooled.Samples != 1 || pooled.Metrics["B/op"] != 135288 {
 		t.Errorf("pooled = %+v", pooled)
 	}
-	if rep.Context["goos"] != "linux" || rep.Context["cpu"] == "" {
+	if rep.Context["goos"] != "linux" || rep.Context["cpu"] == "" || rep.Context["gomaxprocs"] != "8" {
 		t.Errorf("context = %v", rep.Context)
 	}
 }

@@ -95,19 +95,15 @@ func stressChurnService(t *testing.T, s *Service) {
 	}
 
 	// Post-quiesce audits: surviving cache entries agree with the table,
-	for i := range s.cache {
-		c := s.cache[i].Load()
-		if c == nil {
-			continue
-		}
+	for _, c := range cachedEntries(&s.frontEnd) {
 		e, _, ok := s.table.Lookup(addr.VAOf(c.vpn))
 		if !ok {
-			t.Errorf("cache slot %d: vpn %#x cached but not mapped", i, uint64(c.vpn))
+			t.Errorf("cache slot %d: vpn %#x cached but not mapped", c.slot, uint64(c.vpn))
 			continue
 		}
 		if e.PPN != c.e.PPN || e.Attr != c.e.Attr {
 			t.Errorf("cache slot %d: vpn %#x cached (ppn %#x, %v), table (ppn %#x, %v)",
-				i, uint64(c.vpn), uint64(c.e.PPN), c.e.Attr, uint64(e.PPN), e.Attr)
+				c.slot, uint64(c.vpn), uint64(c.e.PPN), c.e.Attr, uint64(e.PPN), e.Attr)
 		}
 	}
 	// incremental size accounting matches a ground-truth walk,

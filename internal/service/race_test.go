@@ -88,19 +88,15 @@ func stressService(t *testing.T, s *Service) {
 	// the table on (PPN, Attr). A violation means an invalidation was lost
 	// or a fill raced past a mutation — exactly the bugs striping is
 	// supposed to make impossible.
-	for i := range s.cache {
-		c := s.cache[i].Load()
-		if c == nil {
-			continue
-		}
+	for _, c := range cachedEntries(&s.frontEnd) {
 		e, _, ok := s.table.Lookup(addr.VAOf(c.vpn))
 		if !ok {
-			t.Errorf("cache slot %d: vpn %#x cached but not mapped", i, uint64(c.vpn))
+			t.Errorf("cache slot %d: vpn %#x cached but not mapped", c.slot, uint64(c.vpn))
 			continue
 		}
 		if e.PPN != c.e.PPN || e.Attr != c.e.Attr {
 			t.Errorf("cache slot %d: vpn %#x cached (ppn %#x, %v), table (ppn %#x, %v)",
-				i, uint64(c.vpn), uint64(c.e.PPN), c.e.Attr, uint64(e.PPN), e.Attr)
+				c.slot, uint64(c.vpn), uint64(c.e.PPN), c.e.Attr, uint64(e.PPN), e.Attr)
 		}
 	}
 

@@ -7,16 +7,19 @@ package service
 // plain single-table Service), and the write-broadcast cost that pays
 // for it (every Map/Unmap locks and updates all R replicas).
 //
-// The read working set is sized well past the per-replica translation
-// cache so most lookups take the miss path through the stripe RWMutex —
-// the lock whose cache line replication delocalizes. A cache-hit-only
-// benchmark would show near-perfect scaling at every factor and hide
-// exactly the contention the replication is built to remove.
+// Each read benchmark comes in two working sets, reported with its
+// measured hits/op. The Hit variants cycle through pages that occupy
+// distinct slots of the 256-slot translation cache, so after warm-up
+// every lookup is a lock-free cache hit. The Miss variants stride the
+// 4096-page set, 16× the cache, so nearly every lookup takes the
+// stripe read lock, walks and fills — the lock whose cache line
+// replication delocalizes. The hit path scales at every factor; the
+// miss path shows the contention replication is built to remove.
 //
 // The read curves only separate on a multi-core host: with GOMAXPROCS=1
 // the goroutines timeslice one CPU, no lock cache line ever bounces
 // between cores, and every (R, g) point collapses to the serial cost.
-// The checked-in snapshot records whatever machine ran it — read its
+// The checked-in snapshot records the GOMAXPROCS it ran with — read its
 // context block before comparing curves.
 
 import (
@@ -32,14 +35,15 @@ import (
 )
 
 const (
-	benchPages = 4096
-	benchBase  = addr.VPN(0x1000)
+	benchPages      = 4096
+	benchCacheSlots = 256
+	benchBase       = addr.VPN(0x1000)
 )
 
 func benchReplicated(b *testing.B, replicas int) *Replicated {
 	b.Helper()
 	r := MustNewReplicated(
-		ReplicatedConfig{Config: Config{Stripes: 64, CacheSlots: 256}, Replicas: replicas},
+		ReplicatedConfig{Config: Config{Stripes: 64, CacheSlots: benchCacheSlots}, Replicas: replicas},
 		func(int) (pagetable.PageTable, error) {
 			return core.MustNew(core.Config{Buckets: 4096}), nil
 		})
@@ -51,82 +55,120 @@ func benchReplicated(b *testing.B, replicas int) *Replicated {
 	return r
 }
 
-// BenchmarkReplicatedRead sweeps readers × replication factor. Each
-// goroutine binds to its own node (goroutine g → node g), so at R>=g
-// every reader owns a private replica — private stripe locks, private
-// cache slots — while at R=1 all of them serialize on one table's
-// stripes.
-func BenchmarkReplicatedRead(b *testing.B) {
+// benchReadSet returns the pages a read benchmark cycles through and
+// the step between one goroutine's consecutive lookups. The hit set is
+// the first pages whose slots (as slotFor places them) are distinct,
+// half the cache; the miss set is every page at a coprime stride, in
+// cache-hostile order.
+func benchReadSet[P comparable](hit bool, slotFor func(addr.VPN) P) ([]addr.VPN, int) {
+	if !hit {
+		pages := make([]addr.VPN, benchPages)
+		for i := range pages {
+			pages[i] = benchBase + addr.VPN(i)
+		}
+		return pages, 61
+	}
+	seen := map[P]bool{}
+	var pages []addr.VPN
+	for i := 0; i < benchPages && len(pages) < benchCacheSlots/2; i++ {
+		vpn := benchBase + addr.VPN(i)
+		if p := slotFor(vpn); !seen[p] {
+			seen[p] = true
+			pages = append(pages, vpn)
+		}
+	}
+	return pages, 1
+}
+
+// runReaders splits b.N lookups over readers goroutines, goroutine g
+// resolving pages through lookup(g) from its own starting offset.
+func runReaders(b *testing.B, readers int, pages []addr.VPN, stride int, lookup func(g int) func(addr.V) (pte.Entry, bool)) {
+	b.Helper()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var lost atomic.Uint64
+	var wg sync.WaitGroup
+	per := b.N/readers + 1
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			look := lookup(g)
+			off := g * 37
+			for i := 0; i < per; i++ {
+				if _, ok := look(addr.VAOf(pages[off%len(pages)])); !ok {
+					lost.Add(1)
+				}
+				off += stride
+			}
+		}(g)
+	}
+	wg.Wait()
+	b.StopTimer()
+	if n := lost.Load(); n != 0 {
+		b.Fatalf("%d lookups missed a mapped page", n)
+	}
+}
+
+// BenchmarkReplicatedReadHit and BenchmarkReplicatedReadMiss sweep
+// readers × replication factor. Each goroutine binds to its own node
+// (goroutine g → node g), so at R>=g every reader owns a private
+// replica — private stripe locks, private cache slots — while at R=1
+// all of them share one table's stripes and slots.
+func BenchmarkReplicatedReadHit(b *testing.B)  { benchReplicatedRead(b, true) }
+func BenchmarkReplicatedReadMiss(b *testing.B) { benchReplicatedRead(b, false) }
+
+func benchReplicatedRead(b *testing.B, hit bool) {
 	for _, replicas := range []int{1, 2, 4, 8} {
 		for _, readers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("R%d/g%d", replicas, readers), func(b *testing.B) {
 				r := benchReplicated(b, replicas)
-				b.ReportAllocs()
-				b.ResetTimer()
-				var lost atomic.Uint64
-				var wg sync.WaitGroup
-				per := b.N/readers + 1
-				for g := 0; g < readers; g++ {
-					wg.Add(1)
-					go func(g int) {
-						defer wg.Done()
-						node := r.Node(g)
-						off := uint64(g * 37)
-						for i := 0; i < per; i++ {
-							va := addr.VAOf(benchBase + addr.VPN(off%benchPages))
-							if _, ok := node.Lookup(va); !ok {
-								lost.Add(1)
-							}
-							off += 61 // coprime stride: every page, cache-hostile order
-						}
-					}(g)
+				pages, stride := benchReadSet(hit, r.replicas[0].slotFor)
+				nodes := make([]*Node, readers)
+				for g := range nodes {
+					nodes[g] = r.Node(g)
+					for _, vpn := range pages {
+						nodes[g].Lookup(addr.VAOf(vpn))
+					}
+					nodes[g].ResetCost()
 				}
-				wg.Wait()
-				if n := lost.Load(); n != 0 {
-					b.Fatalf("%d lookups missed a mapped page", n)
+				runReaders(b, readers, pages, stride, func(g int) func(addr.V) (pte.Entry, bool) { return nodes[g].Lookup })
+				var c NodeCost
+				for _, n := range nodes {
+					c.Merge(n.Cost())
 				}
+				b.ReportMetric(float64(c.Hits)/float64(c.Lookups()), "hits/op")
 			})
 		}
 	}
 }
 
-// BenchmarkSingleServiceRead is the un-replicated baseline: the plain
-// striped Service under the same working set, stripe count, cache size
-// and reader counts. Replicated(1)'s read path must stay within noise
-// of this — the replication wrapper may not tax the factor-1 case.
-func BenchmarkSingleServiceRead(b *testing.B) {
+// BenchmarkSingleServiceReadHit and BenchmarkSingleServiceReadMiss are
+// the un-replicated baseline: the plain striped Service under the same
+// working sets, stripe count, cache size and reader counts.
+// Replicated(1)'s read path must stay within noise of these — the
+// replication wrapper may not tax the factor-1 case.
+func BenchmarkSingleServiceReadHit(b *testing.B)  { benchSingleServiceRead(b, true) }
+func BenchmarkSingleServiceReadMiss(b *testing.B) { benchSingleServiceRead(b, false) }
+
+func benchSingleServiceRead(b *testing.B, hit bool) {
 	for _, readers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("g%d", readers), func(b *testing.B) {
 			s := MustWrap(core.MustNew(core.Config{Buckets: 4096}),
-				Config{Stripes: 64, CacheSlots: 256})
+				Config{Stripes: 64, CacheSlots: benchCacheSlots})
 			for i := 0; i < benchPages; i++ {
 				if err := s.Map(benchBase+addr.VPN(i), addr.PPN(0x8000+i), pte.AttrR); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var lost atomic.Uint64
-			var wg sync.WaitGroup
-			per := b.N/readers + 1
-			for g := 0; g < readers; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					off := uint64(g * 37)
-					for i := 0; i < per; i++ {
-						va := addr.VAOf(benchBase + addr.VPN(off%benchPages))
-						if _, ok := s.Lookup(va); !ok {
-							lost.Add(1)
-						}
-						off += 61
-					}
-				}(g)
+			pages, stride := benchReadSet(hit, s.slotFor)
+			for _, vpn := range pages {
+				s.Lookup(addr.VAOf(vpn))
 			}
-			wg.Wait()
-			if n := lost.Load(); n != 0 {
-				b.Fatalf("%d lookups missed a mapped page", n)
-			}
+			st0 := s.Stats()
+			runReaders(b, readers, pages, stride, func(int) func(addr.V) (pte.Entry, bool) { return s.Lookup })
+			st := s.Stats()
+			b.ReportMetric(float64(st.Hits-st0.Hits)/float64(st.Lookups()-st0.Lookups()), "hits/op")
 		})
 	}
 }

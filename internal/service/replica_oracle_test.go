@@ -85,20 +85,15 @@ func auditReplicated(t *testing.T, r *Replicated, ctx string) {
 				t.Errorf("%s: replica %d Size %+v disagrees with AuditSize %+v", ctx, i, got, want)
 			}
 		}
-		rep := r.replicas[i]
-		for slot := range rep.cache {
-			c := rep.cache[slot].Load()
-			if c == nil {
-				continue
-			}
+		for _, c := range cachedEntries(r.replicas[i]) {
 			e, _, ok := table.Lookup(addr.VAOf(c.vpn))
 			if !ok {
-				t.Errorf("%s: replica %d slot %d: vpn %#x cached but not mapped", ctx, i, slot, uint64(c.vpn))
+				t.Errorf("%s: replica %d slot %d: vpn %#x cached but not mapped", ctx, i, c.slot, uint64(c.vpn))
 				continue
 			}
 			if e.PPN != c.e.PPN || e.Attr != c.e.Attr {
 				t.Errorf("%s: replica %d slot %d: vpn %#x cached (%#x,%v), table (%#x,%v)",
-					ctx, i, slot, uint64(c.vpn), uint64(c.e.PPN), c.e.Attr, uint64(e.PPN), e.Attr)
+					ctx, i, c.slot, uint64(c.vpn), uint64(c.e.PPN), c.e.Attr, uint64(e.PPN), e.Attr)
 			}
 		}
 	}

@@ -11,17 +11,10 @@
 // mmu.Shared hierarchy), so reader throughput scales with replicas
 // instead of serializing on one table's lock and cache lines.
 //
-// Coherence protocol. Writes run a two-phase broadcast on the stripe
-// covering the written page block:
-//
-//	phase 1  lock that stripe on EVERY replica, in ascending replica
-//	         order (the single global order — two conflicting writers
-//	         serialize instead of deadlocking), apply the mutation to
-//	         each replica's table, and stamp the replica's sequence
-//	         counter on success;
-//	phase 2  invalidate the affected cache slots and local hierarchies
-//	         on every replica, charge the modeled shootdown for the
-//	         remote ones, and unlock.
+// Coherence protocol. Writes run the write path's two-phase round
+// (writepath.go) across every replica on the stripe covering the
+// written page block, then charge the modeled shootdown for the remote
+// replicas.
 //
 // Because conflicting writes hold all copies of the stripe for their
 // whole apply, every replica observes conflicting mutations in the same
@@ -33,7 +26,6 @@ package service
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"clusterpt/internal/addr"
@@ -75,58 +67,16 @@ func (c *ReplicatedConfig) fill() error {
 	return nil
 }
 
-// replica is one node-local copy of the logical table: its own table,
-// stripe locks, translation cache and optional hierarchy model, so a
-// reader bound to it shares no mutable cache line with readers bound to
-// other replicas.
-type replica struct {
-	cfg Config
-	// table's mapped state may only be read or mutated under the stripe
-	// covering the touched page block — on writes the broadcast holds
-	// that stripe on every replica at once.
-	table   pagetable.PageTable //ptlint:guardedby stripes[*].mu
-	stripes []stripe
-	cache   []atomic.Pointer[cached]
-	mmuh    atomic.Pointer[mmu.Shared]
-	// seq stamps successful write rounds. Writers bump it under the
-	// stripe lock; quiescent readers compare stamps across replicas to
-	// audit convergence.
-	seq atomic.Uint64
-
-	hits, fills, faults atomic.Uint64
-}
-
-// stripeFor returns the lock covering vpn's page block on this replica.
-func (p *replica) stripeFor(vpn addr.VPN) *sync.RWMutex {
-	h := pagetable.HashVPN(uint64(vpn) >> p.cfg.LogBlock)
-	return &p.stripes[h&uint64(p.cfg.Stripes-1)].mu
-}
-
-func (p *replica) slotFor(vpn addr.VPN) *atomic.Pointer[cached] {
-	h := pagetable.HashVPN(uint64(vpn))
-	return &p.cache[h&uint64(p.cfg.CacheSlots-1)]
-}
-
-// dropSlot kills the cache slot that may hold vpn. The caller holds
-// vpn's stripe exclusively on this replica.
-func (p *replica) dropSlot(vpn addr.VPN) {
-	slot := p.slotFor(vpn)
-	if c := slot.Load(); c != nil && c.vpn == vpn {
-		slot.Store(nil)
-	}
-}
-
 // Replicated is N per-node replicas of one logical page table behind
 // the service PageTable surface. Reads route to a replica (Node binds a
 // goroutine to its home replica); writes broadcast to all replicas and
 // are charged the modeled shootdown. Create with NewReplicated.
 type Replicated struct {
-	cfg      ReplicatedConfig
-	replicas []*replica
-
-	maps, mapConflicts            atomic.Uint64
-	unmaps, unmapMisses, protects atomic.Uint64
-	demotes                       atomic.Uint64
+	cfg ReplicatedConfig
+	// The write path's replicas are the node-local copies of the
+	// logical table, one front end each, so a reader bound to one shares
+	// no mutable cache line with readers bound to others.
+	writePath
 
 	// Shootdown tally, atomically maintained so concurrent writers
 	// merge without a lock (snapshot via Shootdowns).
@@ -140,7 +90,7 @@ func NewReplicated(cfg ReplicatedConfig, build func(i int) (pagetable.PageTable,
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	r := &Replicated{cfg: cfg}
+	var replicas []*frontEnd
 	for i := 0; i < cfg.Replicas; i++ {
 		t, err := build(i)
 		if err != nil {
@@ -149,13 +99,11 @@ func NewReplicated(cfg ReplicatedConfig, build func(i int) (pagetable.PageTable,
 		if t == nil {
 			return nil, fmt.Errorf("service: replica %d: nil table", i)
 		}
-		r.replicas = append(r.replicas, &replica{
-			cfg:     cfg.Config,
-			table:   t,
-			stripes: make([]stripe, cfg.Stripes),
-			cache:   make([]atomic.Pointer[cached], cfg.CacheSlots),
-		})
+		fe := newFrontEnd(t, cfg.Config)
+		replicas = append(replicas, &fe)
 	}
+	r := &Replicated{cfg: cfg}
+	r.writePath = newWritePath(cfg.LogBlock, replicas, r.chargeShootdown)
 	return r, nil
 }
 
@@ -186,7 +134,7 @@ func (r *Replicated) ReplicaTable(i int) pagetable.PageTable { return r.replicas
 
 // Seq returns replica i's write-sequence stamp. All stamps are equal
 // whenever no write is in flight.
-func (r *Replicated) Seq(i int) uint64 { return r.replicas[i].seq.Load() }
+func (r *Replicated) Seq(i int) uint64 { return r.seq[i].Load() }
 
 // AttachMMU gives every replica its own node-local hierarchy model:
 // build is called once per replica (nil build, or a nil return, leaves
@@ -198,17 +146,15 @@ func (r *Replicated) AttachMMU(build func(i int) *mmu.Shared) {
 		if build != nil {
 			h = build(i)
 		}
-		rep.mmuh.Store(h)
+		rep.AttachMMU(h)
 	}
 }
 
 // MMU returns replica i's attached hierarchy model, or nil.
-func (r *Replicated) MMU(i int) *mmu.Shared { return r.replicas[i].mmuh.Load() }
+func (r *Replicated) MMU(i int) *mmu.Shared { return r.replicas[i].MMU() }
 
 // Name implements PageTable.
-//
-//ptlint:allow guardedby Name reads immutable organization metadata, never mapped state
-func (r *Replicated) Name() string { return r.replicas[0].table.Name() }
+func (r *Replicated) Name() string { return r.replicas[0].Name() }
 
 // homeOf returns node id's home replica index: replicas live on nodes
 // 0..R-1, and nodes beyond them round-robin onto the existing replicas
@@ -227,9 +173,9 @@ func (r *Replicated) remoteCount(origin int) int {
 	return len(r.replicas)
 }
 
-// charge folds one successful write broadcast of pages base pages from
-// origin into the shootdown tally.
-func (r *Replicated) charge(origin, pages int) {
+// chargeShootdown folds one successful write broadcast of pages base
+// pages from origin into the shootdown tally.
+func (r *Replicated) chargeShootdown(origin, pages int) {
 	remotes := r.remoteCount(origin)
 	if remotes <= 0 || pages <= 0 {
 		return
@@ -251,103 +197,17 @@ func (r *Replicated) Shootdowns() memcost.ShootdownTally {
 	}
 }
 
-// broadcast runs one two-phase write round over the pages in vpns,
-// which must all lie in the page block containing vpns[0] (one stripe
-// covers them). apply runs against each replica's table and returns how
-// many pages it changed; replicas disagreeing with replica 0 on the
-// outcome panic — the protocol guarantees convergence, so disagreement
-// means a caller mutated a replica table directly. On success the
-// broadcast is charged to origin as one IPI round per remote replica
-// (block writes batch; that is the point of the two-phase shape).
-func (r *Replicated) broadcast(origin int, vpns []addr.VPN, apply func(t pagetable.PageTable) (int, error)) (int, error) {
-	si := int(pagetable.HashVPN(uint64(vpns[0])>>r.cfg.LogBlock) & uint64(r.cfg.Stripes-1))
-	for _, rep := range r.replicas {
-		//ptlint:allow locksafety phase-2 loop below unlocks every stripe this loop locked; r.replicas is never empty (fill enforces Replicas >= 1)
-		rep.stripes[si].mu.Lock()
-	}
-	pages := 0
-	var firstErr error
-	for i, rep := range r.replicas {
-		p, err := apply(rep.table)
-		if i == 0 {
-			pages, firstErr = p, err
-		} else if p != pages || (err == nil) != (firstErr == nil) {
-			panic(fmt.Sprintf("service: replica %d diverged on vpn %#x: %d pages (%v), replica 0 saw %d (%v)",
-				i, uint64(vpns[0]), p, err, pages, firstErr))
-		}
-		if p > 0 {
-			rep.seq.Add(1)
-		}
-	}
-	for _, rep := range r.replicas {
-		for _, vpn := range vpns {
-			rep.dropSlot(vpn)
-		}
-		if h := rep.mmuh.Load(); h != nil {
-			h.InvalidateBatch(vpns)
-		}
-		rep.stripes[si].mu.Unlock()
-	}
-	if pages > 0 {
-		r.charge(origin, pages)
-	}
-	return pages, firstErr
-}
-
 // Lookup implements PageTable: the concurrency-safe read path through
 // replica 0, for callers that have not bound a Node. The scalable path
 // is Node.Lookup.
-func (r *Replicated) Lookup(va addr.V) (pte.Entry, bool) {
-	rep := r.replicas[0]
-	vpn := addr.VPNOf(va)
-	slot := rep.slotFor(vpn)
-	if c := slot.Load(); c != nil && c.vpn == vpn {
-		rep.hits.Add(1)
-		if h := rep.mmuh.Load(); h != nil {
-			h.Translate(va, c.e, pagetable.WalkCost{})
-		}
-		return c.e, true
-	}
-	mu := rep.stripeFor(vpn)
-	mu.RLock()
-	e, cost, ok := rep.table.Lookup(va)
-	if ok {
-		// The fill stays inside the read-side critical section for the
-		// same reason Service.Lookup's does: a broadcast on this stripe
-		// cannot order its invalidation between the walk and the publish.
-		slot.Store(&cached{vpn: vpn, e: e})
-		if h := rep.mmuh.Load(); h != nil {
-			h.Translate(va, e, cost)
-		}
-	}
-	mu.RUnlock()
-	if ok {
-		rep.fills.Add(1)
-	} else {
-		rep.faults.Add(1)
-	}
-	return e, ok
+func (r *Replicated) Lookup(va addr.V) (e pte.Entry, ok bool) {
+	ok = r.replicas[0].countedLookup(va, &e)
+	return
 }
 
 // Map implements PageTable, broadcasting from node 0.
 func (r *Replicated) Map(vpn addr.VPN, ppn addr.PPN, attr pte.Attr) error {
 	return r.mapAt(0, vpn, ppn, attr)
-}
-
-func (r *Replicated) mapAt(origin int, vpn addr.VPN, ppn addr.PPN, attr pte.Attr) error {
-	vpns := [1]addr.VPN{vpn}
-	_, err := r.broadcast(origin, vpns[:], func(t pagetable.PageTable) (int, error) {
-		if err := t.Map(vpn, ppn, attr); err != nil {
-			return 0, err
-		}
-		return 1, nil
-	})
-	if err != nil {
-		r.mapConflicts.Add(1)
-		return err
-	}
-	r.maps.Add(1)
-	return nil
 }
 
 // MapRange implements PageTable: the batched region-fault path. Each
@@ -358,100 +218,15 @@ func (r *Replicated) MapRange(vpn addr.VPN, ppn addr.PPN, n uint64, attr pte.Att
 	return r.mapRangeAt(0, vpn, ppn, n, attr)
 }
 
-func (r *Replicated) mapRangeAt(origin int, vpn addr.VPN, ppn addr.PPN, n uint64, attr pte.Attr) (int, error) {
-	if n == 0 {
-		return 0, nil
-	}
-	rg := addr.PageRange(addr.VAOf(vpn), n)
-	mapped := 0
-	var firstErr error
-	var vpns []addr.VPN
-	rg.Blocks(r.cfg.LogBlock, func(vpbn addr.VPBN, lo, hi uint64) bool {
-		vpns = vpns[:0]
-		for boff := lo; boff <= hi; boff++ {
-			vpns = append(vpns, addr.BlockJoin(vpbn, boff, r.cfg.LogBlock))
-		}
-		p, err := r.broadcast(origin, vpns, func(t pagetable.PageTable) (int, error) {
-			for i, pv := range vpns {
-				if err := t.Map(pv, ppn+addr.PPN(pv-vpn), attr); err != nil {
-					return i, fmt.Errorf("page %d/%d: %w", mapped+i, n, err)
-				}
-			}
-			return len(vpns), nil
-		})
-		mapped += p
-		if err != nil {
-			r.mapConflicts.Add(1)
-			firstErr = err
-			return false
-		}
-		return true
-	})
-	r.maps.Add(uint64(mapped))
-	return mapped, firstErr
-}
-
 // Unmap implements PageTable, broadcasting from node 0.
 func (r *Replicated) Unmap(vpn addr.VPN) error {
 	return r.unmapAt(0, vpn)
 }
 
-func (r *Replicated) unmapAt(origin int, vpn addr.VPN) error {
-	vpns := [1]addr.VPN{vpn}
-	_, err := r.broadcast(origin, vpns[:], func(t pagetable.PageTable) (int, error) {
-		if err := t.Unmap(vpn); err != nil {
-			return 0, err
-		}
-		return 1, nil
-	})
-	if err != nil {
-		r.unmapMisses.Add(1)
-		return err
-	}
-	r.unmaps.Add(1)
-	return nil
-}
-
-// Protect implements PageTable, block by block like Service.Protect;
-// every block is one broadcast round charged for the block's pages.
+// Protect implements PageTable, block by block; every block is one
+// broadcast round charged for the block's pages.
 func (r *Replicated) Protect(rg addr.Range, set, clear pte.Attr) error {
 	return r.protectAt(0, rg, set, clear)
-}
-
-func (r *Replicated) protectAt(origin int, rg addr.Range, set, clear pte.Attr) error {
-	if rg.Empty() {
-		return nil
-	}
-	var firstErr error
-	var vpns []addr.VPN
-	rg.Blocks(r.cfg.LogBlock, func(vpbn addr.VPBN, lo, hi uint64) bool {
-		vpns = vpns[:0]
-		for boff := lo; boff <= hi; boff++ {
-			vpns = append(vpns, addr.BlockJoin(vpbn, boff, r.cfg.LogBlock))
-		}
-		sub := addr.PageRange(addr.VAOf(vpns[0]), hi-lo+1)
-		_, err := r.broadcast(origin, vpns, func(t pagetable.PageTable) (int, error) {
-			if _, err := t.ProtectRange(sub, set, clear); err != nil {
-				return 0, err
-			}
-			return len(vpns), nil
-		})
-		if err != nil {
-			firstErr = err
-			return false
-		}
-		return true
-	})
-	r.protects.Add(1)
-	return firstErr
-}
-
-// tableDemoter is the organization-side demotion surface (clustered
-// tables): split the compact PTE covering a block back into base PTEs,
-// leaving every translation intact.
-type tableDemoter interface {
-	Demote(vpbn addr.VPBN) bool
-	LogSBF() uint
 }
 
 // Demote splits the compact PTE covering vpn's block back into base
@@ -465,125 +240,46 @@ func (r *Replicated) Demote(vpn addr.VPN) bool {
 	return r.demoteAt(0, vpn)
 }
 
-func (r *Replicated) demoteAt(origin int, vpn addr.VPN) bool {
-	//ptlint:allow guardedby the type assertion reads the table's immutable organization identity, never mapped state
-	d, ok := r.replicas[0].table.(tableDemoter)
-	if !ok {
-		return false
-	}
-	log := d.LogSBF()
-	if log > r.cfg.LogBlock {
-		return false
-	}
-	vpbn, _ := addr.BlockSplit(vpn, log)
-	base := addr.BlockJoin(vpbn, 0, log)
-	vpns := make([]addr.VPN, uint64(1)<<log)
-	for i := range vpns {
-		vpns[i] = base + addr.VPN(i)
-	}
-	pages, _ := r.broadcast(origin, vpns, func(t pagetable.PageTable) (int, error) { //ptlint:allow errdrop the demote apply never errors; its outcome is the page count
-
-		if t.(tableDemoter).Demote(vpbn) {
-			return len(vpns), nil
-		}
-		return 0, nil
-	})
-	if pages == 0 {
-		return false
-	}
-	r.demotes.Add(1)
-	return true
-}
-
 // Reset rewinds every replica's table (when the organization implements
 // pagetable.Resetter), flushes every cache and hierarchy, and zeroes
-// all counters and sequence stamps. Callers must be quiescent; every
-// stripe of every replica is held exclusively for the duration, in the
-// same (replica, stripe) order the broadcast uses so a concurrent write
-// cannot deadlock against the reset.
+// all counters, sequence stamps and the shootdown tally. Callers must
+// be quiescent.
 func (r *Replicated) Reset() {
-	for _, rep := range r.replicas {
-		for i := range rep.stripes {
-			rep.stripes[i].mu.Lock()
-		}
-	}
-	for _, rep := range r.replicas {
-		if rt, ok := rep.table.(pagetable.Resetter); ok {
-			rt.Reset()
-		}
-		for i := range rep.cache {
-			rep.cache[i].Store(nil)
-		}
-		if h := rep.mmuh.Load(); h != nil {
-			h.Shootdown()
-		}
-		rep.seq.Store(0)
-		rep.hits.Store(0)
-		rep.fills.Store(0)
-		rep.faults.Store(0)
-	}
-	r.maps.Store(0)
-	r.mapConflicts.Store(0)
-	r.unmaps.Store(0)
-	r.unmapMisses.Store(0)
-	r.protects.Store(0)
-	r.demotes.Store(0)
+	r.resetAll()
 	r.sdBroadcasts.Store(0)
 	r.sdIPIs.Store(0)
 	r.sdRemotePages.Store(0)
 	r.sdLines.Store(0)
-	for _, rep := range r.replicas {
-		for i := range rep.stripes {
-			rep.stripes[i].mu.Unlock()
-		}
-	}
 }
 
 // MemStats sums measured arena occupancy across replicas — replication
 // multiplies table memory by design, and the meter should show it.
 func (r *Replicated) MemStats() pagetable.MemStats {
 	var total pagetable.MemStats
-	for i := range r.replicas {
-		//ptlint:allow guardedby arena stats are atomics; no stripe needed for a monitoring read
-		if mr, ok := r.replicas[i].table.(pagetable.MemReporter); ok {
-			ms := mr.MemStats()
-			total.Nodes.LiveBytes += ms.Nodes.LiveBytes
-			total.Nodes.SlabBytes += ms.Nodes.SlabBytes
-			total.Nodes.LiveObjects += ms.Nodes.LiveObjects
-			total.Payload.LiveBytes += ms.Payload.LiveBytes
-			total.Payload.SlabBytes += ms.Payload.SlabBytes
-			total.Payload.LiveObjects += ms.Payload.LiveObjects
-		}
+	for _, rep := range r.replicas {
+		ms := rep.MemStats()
+		total.Nodes.LiveBytes += ms.Nodes.LiveBytes
+		total.Nodes.SlabBytes += ms.Nodes.SlabBytes
+		total.Nodes.LiveObjects += ms.Nodes.LiveObjects
+		total.Payload.LiveBytes += ms.Payload.LiveBytes
+		total.Payload.SlabBytes += ms.Payload.SlabBytes
+		total.Payload.LiveObjects += ms.Payload.LiveObjects
 	}
 	return total
 }
 
 // ReplicaMemStats reports replica i's own arena occupancy.
-func (r *Replicated) ReplicaMemStats(i int) pagetable.MemStats {
-	//ptlint:allow guardedby arena stats are atomics; no stripe needed for a monitoring read
-	if mr, ok := r.replicas[i].table.(pagetable.MemReporter); ok {
-		return mr.MemStats()
-	}
-	return pagetable.MemStats{}
-}
+func (r *Replicated) ReplicaMemStats(i int) pagetable.MemStats { return r.replicas[i].MemStats() }
 
 // Stats implements PageTable: read counters summed over the replica
 // lookup paths (Node traffic is accounted separately in NodeCost — the
 // whole point of the node-local path is not sharing counter cache
 // lines) plus the broadcast write counters.
 func (r *Replicated) Stats() Stats {
-	var s Stats
+	s := r.writeStats()
 	for _, rep := range r.replicas {
-		s.Hits += rep.hits.Load()
-		s.Fills += rep.fills.Load()
-		s.Faults += rep.faults.Load()
+		rep.addLookups(&s)
 	}
-	s.Maps = r.maps.Load()
-	s.MapConflicts = r.mapConflicts.Load()
-	s.Unmaps = r.unmaps.Load()
-	s.UnmapMisses = r.unmapMisses.Load()
-	s.Protects = r.protects.Load()
-	s.Demotes = r.demotes.Load()
 	return s
 }
 
@@ -656,7 +352,7 @@ func (c *NodeCost) Merge(o NodeCost) {
 // write, charged from the node's position.
 type Node struct {
 	r     *Replicated
-	rep   *replica
+	rep   *frontEnd
 	id    int
 	local bool
 	cost  NodeCost
@@ -694,39 +390,24 @@ func (n *Node) ResetCost() { n.cost = NodeCost{} }
 // line-free, miss under the home stripe's read lock with the walk's
 // line count charged at local or remote cost. The path touches no
 // state shared with nodes bound to other replicas.
-func (n *Node) Lookup(va addr.V) (pte.Entry, bool) {
-	rep := n.rep
-	vpn := addr.VPNOf(va)
-	slot := rep.slotFor(vpn)
-	if c := slot.Load(); c != nil && c.vpn == vpn {
+func (n *Node) Lookup(va addr.V) (e pte.Entry, ok bool) {
+	lines, o := n.rep.lookup(va, &e)
+	switch o {
+	case hit:
 		n.cost.Hits++
-		if h := rep.mmuh.Load(); h != nil {
-			h.Translate(va, c.e, pagetable.WalkCost{})
-		}
-		return c.e, true
-	}
-	mu := rep.stripeFor(vpn)
-	mu.RLock()
-	e, cost, ok := rep.table.Lookup(va)
-	if ok {
-		slot.Store(&cached{vpn: vpn, e: e})
-		if h := rep.mmuh.Load(); h != nil {
-			h.Translate(va, e, cost)
-		}
-	}
-	mu.RUnlock()
-	lines := uint64(n.r.cfg.NUMA.WalkLines(cost.Lines, n.local))
-	if n.local {
-		n.cost.LocalLines += lines
-	} else {
-		n.cost.RemoteLines += lines
-	}
-	if ok {
+		return e, true
+	case fill:
 		n.cost.Fills++
-	} else {
+	default:
 		n.cost.Faults++
 	}
-	return e, ok
+	walked := uint64(n.r.cfg.NUMA.WalkLines(lines, n.local))
+	if n.local {
+		n.cost.LocalLines += walked
+	} else {
+		n.cost.RemoteLines += walked
+	}
+	return e, o == fill
 }
 
 // Map broadcasts one mapping from this node's position.

@@ -6,17 +6,20 @@
 // handler from the mapping system calls (§3.1 of the paper):
 //
 //   - Lookup takes a lock-free fast path through a fixed-size translation
-//     cache of atomic pointers — a software TLB in front of the wrapped
-//     table. A hit costs one hash, one atomic load and one tag compare;
-//     no lock, no shared-cache-line write.
+//     cache of seqlock slots — a software TLB in front of the wrapped
+//     table. A hit costs one hash, two sequence loads around a key
+//     compare and three payload loads on one cache line, and one counter
+//     add on its page block's stripe; no lock, no allocation, and no
+//     write to a line another page block's lookups write.
 //   - Map, Unmap, MapRange and Protect serialize per page block on a
 //     striped readers-writer lock. Writers mutate the wrapped table and
 //     invalidate the affected cache slots while holding the stripe
 //     exclusively; lookup slow paths fill the cache under the stripe's
 //     read lock. Because a translation's fill and its invalidation hash
 //     to the same stripe, a fill can never resurrect an entry a
-//     concurrent writer just killed — the coherence argument DESIGN.md §6
-//     spells out.
+//     concurrent writer just killed; a racing fill of another VPN that
+//     shares the slot can only displace a translation — the coherence
+//     argument DESIGN.md §6 spells out.
 //
 // The cache guarantees translation coherence: a cached entry always
 // returns the PPN and attribute bits the wrapped table would return for
@@ -28,11 +31,8 @@ package service
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"clusterpt/internal/addr"
-	"clusterpt/internal/mmu"
 	"clusterpt/internal/pagetable"
 	"clusterpt/internal/pte"
 )
@@ -136,37 +136,14 @@ func (s Stats) HitRate() float64 {
 	return 0
 }
 
-// cached is one immutable translation-cache entry, published by pointer.
-type cached struct {
-	vpn addr.VPN
-	e   pte.Entry
-}
-
-// stripe pads each lock to its own cache line so writer stripes do not
-// false-share.
-type stripe struct {
-	mu sync.RWMutex
-	_  [40]byte
-}
-
-// Service wraps one page-table organization. Create with Wrap.
+// Service wraps one page-table organization: one lookup front end and
+// the write path over it. Create with Wrap.
 type Service struct {
-	cfg Config
-	// table's mapped state may only be read or mutated under the stripe
-	// covering the touched page block; the pointer itself is write-once.
-	table   pagetable.PageTable //ptlint:guardedby stripes[*].mu
-	stripes []stripe
-	cache   []atomic.Pointer[cached]
-	// mmuh, when attached, is the modeled hardware translation hierarchy
-	// in front of the service: every resolved lookup drives it and every
-	// write-path invalidation shoots it down. Atomic so AttachMMU is safe
-	// against in-flight traffic; nil costs one atomic load per operation.
-	mmuh atomic.Pointer[mmu.Shared]
-
-	hits, fills, faults           atomic.Uint64
-	maps, mapConflicts            atomic.Uint64
-	unmaps, unmapMisses, protects atomic.Uint64
-	demotes                       atomic.Uint64
+	frontEnd
+	// Keeps the write path's counters off the line holding the front
+	// end's mmuh, which every lookup reads.
+	_ [64]byte
+	writePath
 }
 
 // Wrap builds a Service over table; zero config fields take defaults.
@@ -177,12 +154,9 @@ func Wrap(table pagetable.PageTable, cfg Config) (*Service, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	return &Service{
-		cfg:     cfg,
-		table:   table,
-		stripes: make([]stripe, cfg.Stripes),
-		cache:   make([]atomic.Pointer[cached], cfg.CacheSlots),
-	}, nil
+	s := &Service{frontEnd: newFrontEnd(table, cfg)}
+	s.writePath = newWritePath(cfg.LogBlock, []*frontEnd{&s.frontEnd}, nil)
+	return s, nil
 }
 
 // MustWrap is Wrap for known-good configurations; it panics on error.
@@ -194,11 +168,6 @@ func MustWrap(table pagetable.PageTable, cfg Config) *Service {
 	return s
 }
 
-// Name implements PageTable.
-//
-//ptlint:allow guardedby Name reads immutable organization metadata, never mapped state
-func (s *Service) Name() string { return s.table.Name() }
-
 // Table returns the wrapped organization, for size and walk-cost
 // inspection. Callers must not mutate it directly while the service is
 // in use — direct writes bypass cache invalidation.
@@ -206,265 +175,55 @@ func (s *Service) Name() string { return s.table.Name() }
 //ptlint:allow guardedby write-once pointer escape hatch; the doc contract forbids concurrent mutation
 func (s *Service) Table() pagetable.PageTable { return s.table }
 
-// AttachMMU attaches a modeled hardware translation hierarchy. Once
-// attached, Lookup feeds every resolved translation through
-// h.Translate (probe, walk-filter and fill under Shared's own mutex),
-// Map/MapRange/Unmap/Protect forward each page invalidation as an
-// h.Invalidate shootdown, and Reset issues a whole-hierarchy
-// h.Shootdown — so h.Stats()/h.LevelStats() report what the composed
-// TLB stack would have done over the service's concurrent traffic.
-// Attach before or during traffic; detach by attaching nil.
-func (s *Service) AttachMMU(h *mmu.Shared) { s.mmuh.Store(h) }
-
-// MMU returns the attached hierarchy model, or nil.
-func (s *Service) MMU() *mmu.Shared { return s.mmuh.Load() }
-
-// stripeFor returns the lock covering vpn's page block. All pages of one
-// block — and therefore one clustered hash node — share a stripe.
-func (s *Service) stripeFor(vpn addr.VPN) *sync.RWMutex {
-	h := pagetable.HashVPN(uint64(vpn) >> s.cfg.LogBlock)
-	return &s.stripes[h&uint64(s.cfg.Stripes-1)].mu
-}
-
-func (s *Service) slotFor(vpn addr.VPN) *atomic.Pointer[cached] {
-	h := pagetable.HashVPN(uint64(vpn))
-	return &s.cache[h&uint64(s.cfg.CacheSlots-1)]
-}
-
-// Lookup implements PageTable. The fast path is lock-free: one hash, one
-// atomic pointer load, one tag compare. On a cache miss it walks the
-// wrapped table under the stripe's read lock and publishes the result —
-// the fill must complete inside the read-side critical section so a
-// concurrent writer on the same stripe cannot order its invalidation
-// between the walk and the publish.
-func (s *Service) Lookup(va addr.V) (pte.Entry, bool) {
-	vpn := addr.VPNOf(va)
-	slot := s.slotFor(vpn)
-	if c := slot.Load(); c != nil && c.vpn == vpn {
-		s.hits.Add(1)
-		// A cache hit resolved without touching table memory, so the
-		// modeled hierarchy is driven with a zero walk cost; a racing
-		// invalidation may land after the slot load, the same staleness
-		// window a real TLB has between a fill and its shootdown.
-		if h := s.mmuh.Load(); h != nil {
-			h.Translate(va, c.e, pagetable.WalkCost{})
-		}
-		return c.e, true
-	}
-	mu := s.stripeFor(vpn)
-	mu.RLock()
-	e, cost, ok := s.table.Lookup(va)
-	if ok {
-		slot.Store(&cached{vpn: vpn, e: e})
-		// The hierarchy fill stays inside the read-side critical section
-		// for the same reason the slot store does: a writer on this
-		// stripe cannot order its shootdown between the walk and the
-		// model fill, so the model never caches a dead translation.
-		if h := s.mmuh.Load(); h != nil {
-			h.Translate(va, e, cost)
-		}
-	}
-	mu.RUnlock()
-	if ok {
-		s.fills.Add(1)
-	} else {
-		s.faults.Add(1)
-	}
-	return e, ok
+// Lookup implements PageTable through the front end's lock-free hit
+// path, counting the outcome in the page block's stripe.
+func (s *Service) Lookup(va addr.V) (e pte.Entry, ok bool) {
+	ok = s.countedLookup(va, &e)
+	return
 }
 
 // Map implements PageTable.
 func (s *Service) Map(vpn addr.VPN, ppn addr.PPN, attr pte.Attr) error {
-	mu := s.stripeFor(vpn)
-	mu.Lock()
-	err := s.table.Map(vpn, ppn, attr)
-	s.invalidate(vpn)
-	mu.Unlock()
-	if err != nil {
-		s.mapConflicts.Add(1)
-		return err
-	}
-	s.maps.Add(1)
-	return nil
+	return s.mapAt(0, vpn, ppn, attr)
 }
 
-// MapRange implements PageTable: the batched region-fault path. Pages
-// are installed block by block, one stripe acquisition and one batch of
-// wrapped-table inserts per block, so faulting a region in costs a
-// fraction 1/blockpages of the locking a page-at-a-time loop pays.
+// MapRange implements PageTable: the batched region-fault path, one
+// stripe acquisition and one batch of wrapped-table inserts per page
+// block.
 func (s *Service) MapRange(vpn addr.VPN, ppn addr.PPN, n uint64, attr pte.Attr) (int, error) {
-	if n == 0 {
-		return 0, nil
-	}
-	r := addr.PageRange(addr.VAOf(vpn), n)
-	mapped := 0
-	var firstErr error
-	r.Blocks(s.cfg.LogBlock, func(vpbn addr.VPBN, lo, hi uint64) bool {
-		first := addr.BlockJoin(vpbn, lo, s.cfg.LogBlock)
-		mu := s.stripeFor(first)
-		mu.Lock()
-		defer mu.Unlock()
-		for boff := lo; boff <= hi; boff++ {
-			pv := addr.BlockJoin(vpbn, boff, s.cfg.LogBlock)
-			if err := s.table.Map(pv, ppn+addr.PPN(pv-vpn), attr); err != nil {
-				s.mapConflicts.Add(1)
-				firstErr = fmt.Errorf("page %d/%d: %w", mapped, n, err)
-				return false
-			}
-			s.invalidate(pv)
-			mapped++
-		}
-		return true
-	})
-	s.maps.Add(uint64(mapped))
-	return mapped, firstErr
+	return s.mapRangeAt(0, vpn, ppn, n, attr)
 }
 
 // Unmap implements PageTable.
-func (s *Service) Unmap(vpn addr.VPN) error {
-	mu := s.stripeFor(vpn)
-	mu.Lock()
-	err := s.table.Unmap(vpn)
-	s.invalidate(vpn)
-	mu.Unlock()
-	if err != nil {
-		s.unmapMisses.Add(1)
-		return err
-	}
-	s.unmaps.Add(1)
-	return nil
-}
+func (s *Service) Unmap(vpn addr.VPN) error { return s.unmapAt(0, vpn) }
 
-// Protect implements PageTable. The range is processed one page block at
-// a time: stripe write lock, wrapped-table protect of the block's
-// sub-range, invalidation of the covered cache slots. Organizations
-// whose ProtectRange applies per-page semantics (all four standard ones;
-// clustered demotes partially covered compact PTEs, §3.1) stay coherent
-// because only translations inside the range change.
+// Protect implements PageTable, one page block at a time: stripe write
+// lock, wrapped-table protect of the block's sub-range, invalidation of
+// the covered cache slots.
 func (s *Service) Protect(r addr.Range, set, clear pte.Attr) error {
-	if r.Empty() {
-		return nil
-	}
-	var firstErr error
-	r.Blocks(s.cfg.LogBlock, func(vpbn addr.VPBN, lo, hi uint64) bool {
-		first := addr.BlockJoin(vpbn, lo, s.cfg.LogBlock)
-		sub := addr.PageRange(addr.VAOf(first), hi-lo+1)
-		mu := s.stripeFor(first)
-		mu.Lock()
-		defer mu.Unlock()
-		if _, err := s.table.ProtectRange(sub, set, clear); err != nil {
-			firstErr = err
-			return false
-		}
-		for boff := lo; boff <= hi; boff++ {
-			s.invalidate(addr.BlockJoin(vpbn, boff, s.cfg.LogBlock))
-		}
-		return true
-	})
-	s.protects.Add(1)
-	return firstErr
+	return s.protectAt(0, r, set, clear)
 }
 
 // Demote splits the compact PTE covering vpn's block back into base
 // PTEs, for organizations that support in-place demotion (clustered
-// tables) with a subblock factor no coarser than the lock block — one
-// stripe must cover the whole split. It reports whether a split
-// happened. Translations are unchanged, so the cache's translation
-// coherence holds with or without invalidation; the covered slots are
-// invalidated anyway so the next lookups observe the new PTE format,
-// the same shootdown a real demotion performs.
-func (s *Service) Demote(vpn addr.VPN) bool {
-	mu := s.stripeFor(vpn)
-	mu.Lock()
-	defer mu.Unlock()
-	d, ok := s.table.(tableDemoter)
-	if !ok || d.LogSBF() > s.cfg.LogBlock {
-		return false
-	}
-	vpbn, _ := addr.BlockSplit(vpn, d.LogSBF())
-	if !d.Demote(vpbn) {
-		return false
-	}
-	base := addr.BlockJoin(vpbn, 0, d.LogSBF())
-	for i := uint64(0); i < uint64(1)<<d.LogSBF(); i++ {
-		s.invalidate(base + addr.VPN(i))
-	}
-	s.demotes.Add(1)
-	return true
-}
-
-// invalidate kills the cache slot that may hold vpn and forwards the
-// shootdown to the attached hierarchy model. The caller holds vpn's
-// stripe exclusively. The slot may cache a different VPN that merely
-// shares the slot — clearing it costs a future refill, never
-// correctness.
-func (s *Service) invalidate(vpn addr.VPN) {
-	slot := s.slotFor(vpn)
-	if c := slot.Load(); c != nil && c.vpn == vpn {
-		slot.Store(nil)
-	}
-	if h := s.mmuh.Load(); h != nil {
-		h.Invalidate(vpn)
-	}
-}
-
-// MemStats reports the wrapped table's measured arena occupancy, or a
-// zero value if the organization does not implement
-// pagetable.MemReporter. Safe to call concurrently with traffic — the
-// arenas keep their stats in atomics.
-func (s *Service) MemStats() pagetable.MemStats {
-	//ptlint:allow guardedby arena stats are atomics; no stripe needed for a monitoring read
-	if mr, ok := s.table.(pagetable.MemReporter); ok {
-		return mr.MemStats()
-	}
-	return pagetable.MemStats{}
-}
+// tables) with a subblock factor no coarser than the lock block. It
+// reports whether a split happened. Translations are unchanged; the
+// covered slots are invalidated anyway so the next lookups observe the
+// new PTE format, the same shootdown a real demotion performs.
+func (s *Service) Demote(vpn addr.VPN) bool { return s.demoteAt(0, vpn) }
 
 // Reset rewinds the wrapped table's arenas (when it implements
 // pagetable.Resetter), flushes the whole translation cache, and zeroes
 // the service counters. Callers must be quiescent: every stripe is
 // taken exclusively for the duration to stop in-flight fills from
 // republishing dead translations.
-func (s *Service) Reset() {
-	for i := range s.stripes {
-		s.stripes[i].mu.Lock()
-	}
-	if r, ok := s.table.(pagetable.Resetter); ok {
-		r.Reset()
-	}
-	for i := range s.cache {
-		s.cache[i].Store(nil)
-	}
-	if h := s.mmuh.Load(); h != nil {
-		h.Shootdown()
-	}
-	s.hits.Store(0)
-	s.fills.Store(0)
-	s.faults.Store(0)
-	s.maps.Store(0)
-	s.mapConflicts.Store(0)
-	s.unmaps.Store(0)
-	s.unmapMisses.Store(0)
-	s.protects.Store(0)
-	s.demotes.Store(0)
-	for i := range s.stripes {
-		s.stripes[i].mu.Unlock()
-	}
-}
+func (s *Service) Reset() { s.resetAll() }
 
 // Stats implements PageTable.
 func (s *Service) Stats() Stats {
-	return Stats{
-		Hits:         s.hits.Load(),
-		Fills:        s.fills.Load(),
-		Faults:       s.faults.Load(),
-		Maps:         s.maps.Load(),
-		MapConflicts: s.mapConflicts.Load(),
-		Unmaps:       s.unmaps.Load(),
-		UnmapMisses:  s.unmapMisses.Load(),
-		Protects:     s.protects.Load(),
-		Demotes:      s.demotes.Load(),
-	}
+	st := s.writeStats()
+	s.addLookups(&st)
+	return st
 }
 
 var _ PageTable = (*Service)(nil)
