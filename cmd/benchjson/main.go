@@ -1,15 +1,20 @@
 // Command benchjson converts `go test -bench -benchmem` text output on
 // stdin into a stable JSON report on stdout, so benchmark snapshots
-// (BENCH_alloc.json) can be checked in and diffed. The input format is
+// (BENCH_*.json) can be checked in and diffed. The input format is
 // the benchstat-compatible benchmark line format described in the Go
 // benchmark data specification:
 //
 //	BenchmarkName-8   2788   386169 ns/op   1126961 B/op   1268 allocs/op
 //
 // Repeated lines for the same benchmark (from -count) are averaged and
-// the sample count recorded. Context lines (goos/goarch/pkg/cpu) are
-// carried into the report header, with the GOMAXPROCS values read off
-// the name suffixes; everything else is ignored.
+// the sample count recorded. Each row records the package it ran in
+// (the latest "pkg:" line), so one report can span several packages.
+// The goos/goarch/cpu lines are carried into the report header, with
+// the GOMAXPROCS values read off the name suffixes, the Go version
+// benchjson was built with (the toolchain `go run` shares with the
+// `go test` that fed it) and the git commit of the working directory,
+// marked "+dirty" when tracked files differ from it; everything else is
+// ignored.
 //
 // Usage:
 //
@@ -18,10 +23,13 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -40,6 +48,8 @@ type report struct {
 type benchmark struct {
 	// Name is the benchmark name with the -GOMAXPROCS suffix stripped.
 	Name string `json:"name"`
+	// Pkg is the import path of the package the benchmark ran in.
+	Pkg string `json:"pkg,omitempty"`
 	// Samples is how many result lines were averaged (the -count value).
 	Samples int `json:"samples"`
 	// Iterations is the mean b.N across samples.
@@ -50,9 +60,10 @@ type benchmark struct {
 }
 
 // contextKeys are the go-test preamble lines worth preserving.
-var contextKeys = []string{"goos", "goarch", "pkg", "cpu"}
+var contextKeys = []string{"goos", "goarch", "cpu"}
 
 type accum struct {
+	pkg        string
 	samples    int
 	iterations float64
 	sums       map[string]float64
@@ -66,6 +77,7 @@ func parse(r io.Reader) (*report, error) {
 	ctx := map[string]string{}
 	byName := map[string]*accum{}
 	var order []string
+	pkg := ""
 
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -73,6 +85,9 @@ func parse(r io.Reader) (*report, error) {
 			if v, ok := strings.CutPrefix(line, k+":"); ok {
 				ctx[k] = strings.TrimSpace(v)
 			}
+		}
+		if v, ok := strings.CutPrefix(line, "pkg:"); ok {
+			pkg = strings.TrimSpace(v)
 		}
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
@@ -99,11 +114,12 @@ func parse(r io.Reader) (*report, error) {
 				name = name[:i]
 			}
 		}
-		a := byName[name]
+		key := pkg + "." + name
+		a := byName[key]
 		if a == nil {
-			a = &accum{sums: map[string]float64{}, counts: map[string]int{}}
-			byName[name] = a
-			order = append(order, name)
+			a = &accum{pkg: pkg, sums: map[string]float64{}, counts: map[string]int{}}
+			byName[key] = a
+			order = append(order, key)
 		}
 		a.samples++
 		a.iterations += iters
@@ -120,11 +136,12 @@ func parse(r io.Reader) (*report, error) {
 		return nil, err
 	}
 
-	rep := &report{Version: 1, Context: ctx, Benchmarks: []benchmark{}}
-	for _, name := range order {
-		a := byName[name]
+	rep := &report{Version: 2, Context: ctx, Benchmarks: []benchmark{}}
+	for _, key := range order {
+		a := byName[key]
 		b := benchmark{
-			Name:       name,
+			Name:       strings.TrimPrefix(key, a.pkg+"."),
+			Pkg:        a.pkg,
 			Samples:    a.samples,
 			Iterations: a.iterations / float64(a.samples),
 			Metrics:    map[string]float64{},
@@ -143,10 +160,29 @@ func parse(r io.Reader) (*report, error) {
 	return rep, nil
 }
 
+// commit returns the working directory's git commit, with "+dirty"
+// when tracked files differ from it, or "" outside a git work tree.
+func commit() string {
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return ""
+	}
+	rev := strings.TrimSpace(string(out))
+	status, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output()
+	if err == nil && len(bytes.TrimSpace(status)) > 0 {
+		rev += "+dirty"
+	}
+	return rev
+}
+
 func run(in io.Reader, out io.Writer) error {
 	rep, err := parse(in)
 	if err != nil {
 		return err
+	}
+	rep.Context["go"] = runtime.Version()
+	if c := commit(); c != "" {
+		rep.Context["commit"] = c
 	}
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os/exec"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -45,6 +47,57 @@ func TestParseAggregates(t *testing.T) {
 	if rep.Context["goos"] != "linux" || rep.Context["cpu"] == "" || rep.Context["gomaxprocs"] != "8" {
 		t.Errorf("context = %v", rep.Context)
 	}
+	if fresh.Pkg != "clusterpt/internal/sim" || pooled.Pkg != "clusterpt/internal/sim" {
+		t.Errorf("pkg = %q, %q, want clusterpt/internal/sim", fresh.Pkg, pooled.Pkg)
+	}
+	if _, ok := rep.Context["pkg"]; ok {
+		t.Errorf("context carries a report-wide pkg: %v", rep.Context)
+	}
+}
+
+// twoPackages is the output of one `go test -bench` over two packages,
+// each with a benchmark of the same name.
+const twoPackages = `goos: linux
+goarch: amd64
+pkg: clusterpt/internal/sim
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkSpan/x-2   	 100	 10 ns/op
+PASS
+ok  	clusterpt/internal/sim	1.0s
+goos: linux
+goarch: amd64
+pkg: clusterpt/internal/memcost
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkSpan/x-2   	 100	 30 ns/op
+BenchmarkSpan/y-2   	 100	 40 ns/op
+PASS
+ok  	clusterpt/internal/memcost	1.0s
+`
+
+// TestParsePackagePerRow pins that each row names the package it ran
+// in, and that same-named benchmarks of different packages stay apart.
+func TestParsePackagePerRow(t *testing.T) {
+	rep, err := parse(strings.NewReader(twoPackages))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		pkg, name string
+		ns        float64
+	}{
+		{"clusterpt/internal/sim", "BenchmarkSpan/x", 10},
+		{"clusterpt/internal/memcost", "BenchmarkSpan/x", 30},
+		{"clusterpt/internal/memcost", "BenchmarkSpan/y", 40},
+	}
+	if len(rep.Benchmarks) != len(want) {
+		t.Fatalf("%d rows, want %d: %+v", len(rep.Benchmarks), len(want), rep.Benchmarks)
+	}
+	for i, w := range want {
+		b := rep.Benchmarks[i]
+		if b.Pkg != w.pkg || b.Name != w.name || b.Samples != 1 || b.Metrics["ns/op"] != w.ns {
+			t.Errorf("row %d = %+v, want %s %s %v ns/op", i, b, w.pkg, w.name, w.ns)
+		}
+	}
 }
 
 func TestParseOrderStable(t *testing.T) {
@@ -64,10 +117,27 @@ func TestRunEmitsJSON(t *testing.T) {
 	if err := run(strings.NewReader(sample), &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"version": 1`, `"BenchmarkBuildPooled/clustered"`, `"allocs/op": 1236`} {
+	for _, want := range []string{`"version": 2`, `"BenchmarkBuildPooled/clustered"`, `"allocs/op": 1236`,
+		`"pkg": "clusterpt/internal/sim"`, `"go": "` + runtime.Version() + `"`} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestRunRecordsCommit pins that the report names the git commit of
+// the working directory when there is one.
+func TestRunRecordsCommit(t *testing.T) {
+	head, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		t.Skip("not in a git work tree")
+	}
+	var out strings.Builder
+	if err := run(strings.NewReader(sample), &out); err != nil {
+		t.Fatal(err)
+	}
+	if want := `"commit": "` + strings.TrimSpace(string(head)); !strings.Contains(out.String(), want) {
+		t.Errorf("output missing %s:\n%s", want, out.String())
 	}
 }
 

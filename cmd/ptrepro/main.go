@@ -14,7 +14,11 @@
 // Usage:
 //
 //	ptrepro [-exp all|<name>] [-refs N] [-seed S] [-workers N] [-shards K] [-replicas R] [-mmu flat|l2|l2+pwc] [-csv] [-v]
+//	        [-cpuprofile F] [-memprofile F] [-trace F]
 //	ptrepro -list
+//
+// -cpuprofile, -memprofile and -trace write the runtime's profiles of
+// the run; CPU samples carry the engine's exp and cell labels.
 package main
 
 import (
@@ -27,6 +31,7 @@ import (
 	"runtime"
 
 	"clusterpt/internal/engine"
+	"clusterpt/internal/prof"
 	"clusterpt/internal/report"
 	"clusterpt/internal/sim"
 )
@@ -42,6 +47,7 @@ var (
 	mmuFlag      = flag.String("mmu", "flat", "translation hierarchy around each simulated TLB: flat, l2, or l2+pwc")
 	verboseFlag  = flag.Bool("v", false, "log per-experiment progress to stderr")
 	listFlag     = flag.Bool("list", false, "list registered experiments and exit")
+	profFlags    = prof.Register(flag.CommandLine)
 )
 
 func main() {
@@ -56,7 +62,7 @@ func main() {
 		list(os.Stdout)
 		return
 	}
-	if err := run(ctx, os.Stdout, *expFlag); err != nil {
+	if err := profFlags.Run(func() error { return run(ctx, os.Stdout, *expFlag) }); err != nil {
 		fmt.Fprintf(os.Stderr, "ptrepro: %v\n", err)
 		os.Exit(1)
 	}

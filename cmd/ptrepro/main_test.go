@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -54,6 +56,37 @@ func TestReplicationGridIdentity(t *testing.T) {
 			t.Errorf("output at (-workers=%d -shards=%d -replicas=%d) diverged from (-workers=1 -shards=1 -replicas=0)",
 				g.workers, g.shards, g.replicas)
 		}
+	}
+}
+
+// TestCPUProfileSameBytes runs fig11a with and without -cpuprofile: the
+// flag writes a non-empty profile and leaves the rendered bytes alone.
+func TestCPUProfileSameBytes(t *testing.T) {
+	*refsFlag = 20_000
+	*seedFlag = 1
+	*csvFlag = false
+	*workersFlag, *shardsFlag = 2, 1
+	var plain bytes.Buffer
+	if err := run(context.Background(), &plain, "fig11a"); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "cpu.out")
+	profFlags.CPU = path
+	defer func() { profFlags.CPU = "" }()
+	var profiled bytes.Buffer
+	if err := profFlags.Run(func() error { return run(context.Background(), &profiled, "fig11a") }); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(profiled.Bytes(), plain.Bytes()) {
+		t.Error("fig11a rendered different bytes under -cpuprofile")
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() == 0 {
+		t.Error("-cpuprofile wrote an empty file")
 	}
 }
 

@@ -20,6 +20,7 @@
 //	ptsim -w gcc -table clustered -tlb psb -line 128 -buckets 1024 -workers 4
 //	ptsim -w gcc -table forward -tlb single -mmu l2+pwc
 //	ptsim -w gcc -table forward -tlb single -replicas 8
+//	ptsim -w gcc -table forward -tlb single -cpuprofile cpu.out -memprofile mem.out -trace trace.out
 package main
 
 import (
@@ -38,6 +39,7 @@ import (
 	"clusterpt/internal/linear"
 	"clusterpt/internal/memcost"
 	"clusterpt/internal/pagetable"
+	"clusterpt/internal/prof"
 	"clusterpt/internal/pte"
 	svc "clusterpt/internal/service"
 	"clusterpt/internal/sim"
@@ -60,13 +62,14 @@ var (
 	shards    = flag.Int("shards", 1, "intra-cell replay lanes (shares the -workers budget; results identical at any value)")
 	mmuSpec   = flag.String("mmu", "flat", "translation hierarchy around the simulated TLB: flat, l2, or l2+pwc")
 	replicas  = flag.Int("replicas", 0, "replicate the page table across N NUMA-node replicas (0 = off): TLB misses are served through node-bound replicated read paths and priced by the NUMA line model")
+	profFlags = prof.Register(flag.CommandLine)
 )
 
 func main() {
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if err := run(ctx); err != nil {
+	if err := profFlags.Run(func() error { return run(ctx) }); err != nil {
 		fmt.Fprintf(os.Stderr, "ptsim: %v\n", err)
 		os.Exit(1)
 	}

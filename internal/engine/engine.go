@@ -62,6 +62,9 @@ type Stats struct {
 	Refs uint64
 	// Wall is the experiment's wall-clock time.
 	Wall time.Duration
+	// Slowest names the cell with the longest wall time, SlowestWall.
+	Slowest     string
+	SlowestWall time.Duration
 }
 
 // ExperimentResult pairs an experiment's output with its run stats.
@@ -270,15 +273,30 @@ func (e *Engine) Run(ctx context.Context, name string) ([]ExperimentResult, erro
 			})
 		}
 		if e.opts.Verbose {
-			fmt.Fprintf(e.opts.Log, "engine: %s: %d/%d cells, %s refs in %v (%s refs/s)\n",
-				exp.Name, st.CellsDone, st.Cells, countStr(st.Refs),
-				st.Wall.Round(time.Millisecond), rateStr(st.Refs, st.Wall))
+			fmt.Fprintln(e.opts.Log, statsLine(exp.Name, st))
 		}
 		if runErr != nil {
 			return out, fmt.Errorf("%s: %w", exp.Name, runErr)
 		}
 	}
 	return out, nil
+}
+
+// statsLine is the -v summary of one finished experiment: cells, wall
+// time and, when its cells replayed trace references, their count and
+// rate (snapshot-only experiments replay none), then the slowest cell.
+func statsLine(name string, st Stats) string {
+	line := fmt.Sprintf("engine: %s: %d/%d cells", name, st.CellsDone, st.Cells)
+	if st.Refs > 0 {
+		line += fmt.Sprintf(", %s refs in %v (%s refs/s)", countStr(st.Refs),
+			st.Wall.Round(time.Millisecond), rateStr(st.Refs, st.Wall))
+	} else {
+		line += fmt.Sprintf(" in %v", st.Wall.Round(time.Millisecond))
+	}
+	if st.Slowest != "" {
+		line += fmt.Sprintf("; slowest cell %s (%v)", st.Slowest, st.SlowestWall.Round(time.Millisecond))
+	}
+	return line
 }
 
 // countStr renders a count compactly (1.2M, 430k, 987).

@@ -6,10 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"clusterpt/internal/trace"
 )
 
 // testRefs keeps the engine tests quick; cmd/ptrepro runs full traces.
@@ -360,5 +363,70 @@ func TestVerboseLogging(t *testing.T) {
 	out := log.String()
 	if !strings.Contains(out, "engine: lines: starting") || !strings.Contains(out, "cells") {
 		t.Errorf("verbose log missing progress lines: %q", out)
+	}
+	if !strings.Contains(out, "slowest cell lines/") {
+		t.Errorf("verbose log does not name the slowest cell: %q", out)
+	}
+}
+
+// TestStatsLine pins the -v summary: a snapshot experiment reports no
+// reference rate, a replay experiment does, and both name the slowest
+// cell with its wall time.
+func TestStatsLine(t *testing.T) {
+	snap := statsLine("fig9", Stats{Cells: 11, CellsDone: 11, Wall: 40 * time.Millisecond,
+		Slowest: "fig9/ML", SlowestWall: 21 * time.Millisecond})
+	if want := "engine: fig9: 11/11 cells in 40ms; slowest cell fig9/ML (21ms)"; snap != want {
+		t.Errorf("snapshot line %q, want %q", snap, want)
+	}
+	replay := statsLine("fig11a", Stats{Cells: 10, CellsDone: 10, Refs: 4_000_000, Wall: 2 * time.Second,
+		Slowest: "fig11a/coral", SlowestWall: 500 * time.Millisecond})
+	if want := "engine: fig11a: 10/10 cells, 4.0M refs in 2s (2.0M refs/s); slowest cell fig11a/coral (500ms)"; replay != want {
+		t.Errorf("replay line %q, want %q", replay, want)
+	}
+}
+
+// TestTable1CountsSimulatedRefs pins that table1 reports the references
+// it replays, not its paper-scaled access counts: each traced workload
+// replays Refs references in total across its processes.
+func TestTable1CountsSimulatedRefs(t *testing.T) {
+	const refs = 10_000
+	res, err := New(Options{Refs: refs, Log: io.Discard}).Run(context.Background(), "table1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want uint64
+	for _, p := range trace.Profiles() {
+		if p.SnapshotOnly {
+			continue
+		}
+		for _, pr := range p.Procs {
+			want += uint64(int(float64(refs) * pr.RefShare))
+		}
+	}
+	if got := res[0].Stats.Refs; got != want {
+		t.Errorf("table1 counted %d refs, replayed %d", got, want)
+	}
+}
+
+// TestCellProfileLabels pins that every cell runs under pprof labels
+// naming its experiment and cell, so CPU profiles split by cell.
+func TestCellProfileLabels(t *testing.T) {
+	eng := New(Options{Workers: 2, Log: io.Discard})
+	cells := make([]Cell[string], 4)
+	for i := range cells {
+		cells[i] = Cell[string]{Key: fmt.Sprintf("c%d", i), Run: func(ctx context.Context, _ uint64) (string, error) {
+			exp, _ := pprof.Label(ctx, "exp")
+			cell, _ := pprof.Label(ctx, "cell")
+			return exp + "|" + cell, nil
+		}}
+	}
+	got, err := FanWith(context.Background(), eng, "labels", cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range got {
+		if want := fmt.Sprintf("labels|c%d", i); g != want {
+			t.Errorf("cell %d ran with labels %q, want %q", i, g, want)
+		}
 	}
 }

@@ -147,7 +147,9 @@ func runTable1(ctx context.Context, rc *RunContext) (*Result, error) {
 			Run: func(ctx context.Context, seed uint64) (sim.Table1Row, error) {
 				row, err := sim.RunTable1Row(p, sim.Table1Config{Refs: rc.Refs, Seed: seed, Buf: sim.ReplayBufFrom(ctx)})
 				if err == nil {
-					rc.CountRefs(row.Accesses)
+					// Accesses is scaled to the paper's dwell; count the
+					// references actually simulated.
+					rc.CountRefs(row.Accesses / p.DwellOrOne())
 				}
 				return row, err
 			},

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,6 +35,19 @@ type RunContext struct {
 	cells atomic.Int64
 	done  atomic.Int64
 	refs  atomic.Uint64
+
+	mu          sync.Mutex
+	slowest     string        //ptlint:guardedby mu
+	slowestWall time.Duration //ptlint:guardedby mu
+}
+
+// noteCell records a finished cell's wall time, keeping the slowest.
+func (rc *RunContext) noteCell(key string, wall time.Duration) {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	if wall > rc.slowestWall {
+		rc.slowest, rc.slowestWall = key, wall
+	}
 }
 
 // Workers returns the pool bound cells will be fanned across.
@@ -61,10 +75,14 @@ func (rc *RunContext) ReplicaCap() int { return rc.eng.opts.Replicas }
 func (rc *RunContext) CountRefs(n uint64) { rc.refs.Add(n) }
 
 func (rc *RunContext) snapshot() Stats {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
 	return Stats{
-		Cells:     int(rc.cells.Load()),
-		CellsDone: int(rc.done.Load()),
-		Refs:      rc.refs.Load(),
+		Cells:       int(rc.cells.Load()),
+		CellsDone:   int(rc.done.Load()),
+		Refs:        rc.refs.Load(),
+		Slowest:     rc.slowest,
+		SlowestWall: rc.slowestWall,
 	}
 }
 
@@ -137,16 +155,24 @@ func fan[T any](ctx context.Context, rc *RunContext, cells []Cell[T], workers in
 				if h := rc.eng.opts.Hooks.CellStart; h != nil {
 					h(rc.exp, c.Key)
 				}
-				start := time.Now() //ptlint:allow nodeterminism per-cell wall time feeds the CellDone hook, not cell results
-				v, err := c.Run(wctx, trace.DeriveSeed(rc.Seed, c.Key))
+				start := time.Now() //ptlint:allow nodeterminism per-cell wall time feeds the CellDone hook and -v, not cell results
+				var v T
+				var err error
+				// Label the cell's goroutines (and the lanes they start)
+				// so a CPU profile splits by experiment and cell.
+				pprof.Do(wctx, pprof.Labels("exp", rc.exp, "cell", c.Key), func(ctx context.Context) {
+					v, err = c.Run(ctx, trace.DeriveSeed(rc.Seed, c.Key))
+				})
 				if err != nil {
 					fail(fmt.Errorf("cell %s: %w", c.Key, err))
 					continue
 				}
 				results[i] = v
 				rc.done.Add(1)
+				wall := time.Since(start) //ptlint:allow nodeterminism hook and -v instrumentation, never rendered tables
+				rc.noteCell(c.Key, wall)
 				if h := rc.eng.opts.Hooks.CellDone; h != nil {
-					h(rc.exp, c.Key, time.Since(start)) //ptlint:allow nodeterminism hook instrumentation, never rendered tables
+					h(rc.exp, c.Key, wall)
 				}
 			}
 		}()

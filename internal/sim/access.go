@@ -78,11 +78,11 @@ type AccessConfig struct {
 	// Buf, when set, is the reusable chunk buffer replay fills; the
 	// engine passes each worker's. Nil allocates per run.
 	Buf *ReplayBuf
-	// Shards is the intra-cell lane budget: 0 or 1 replays serially,
-	// k > 1 runs the fan-out/merge pipeline (shard.go) across k
-	// goroutine lanes. Results are byte-identical at every value — the
-	// pipeline is an exact functional decomposition of the serial
-	// replay, not an approximation (DESIGN.md §10).
+	// Shards is the intra-cell lane budget: 0 or 1 runs the replay
+	// stages (shard.go) inline on the calling goroutine, k > 1 fans
+	// them out across k goroutine lanes. Results are byte-identical at
+	// every value — the stages are an exact functional decomposition
+	// of the per-reference replay, not an approximation (DESIGN.md §10).
 	Shards int
 	// ScanTLB runs the simulated TLBs in linear-scan reference mode
 	// (tlb.Config.Scan) — results are identical, only speed differs. It
@@ -131,6 +131,17 @@ type AccessRow struct {
 
 // RunFigure11 computes one workload's row of a Figure 11 graph.
 func RunFigure11(f Figure, p trace.Profile, cfg AccessConfig) (AccessRow, error) {
+	return runFigure11(f, p, cfg, runProcess)
+}
+
+// processReplay replays one process's references and returns its line
+// counts, reference-TLB misses and linear nested misses.
+type processReplay func(f Figure, snap trace.ProcessSnapshot, refs int, cfg AccessConfig) (lineCounts, uint64, uint64, error)
+
+// runFigure11 is RunFigure11 over an explicit per-process replay, so
+// tests can run the same row assembly over the unmemoized reference
+// loop.
+func runFigure11(f Figure, p trace.Profile, cfg AccessConfig, run processReplay) (AccessRow, error) {
 	cfg.fill()
 	row := AccessRow{Workload: p.Name, Figure: f, AvgLines: map[string]float64{}}
 	var lines lineCounts
@@ -141,13 +152,13 @@ func RunFigure11(f Figure, p trace.Profile, cfg AccessConfig) (AccessRow, error)
 		if refs == 0 {
 			continue
 		}
-		procLines, misses, accesses, nested, err := runProcess(f, snap, refs, cfg)
+		procLines, misses, nested, err := run(f, snap, refs, cfg)
 		if err != nil {
 			return row, fmt.Errorf("sim: %s/%s: %w", p.Name, snap.Name, err)
 		}
 		lines.add(&procLines)
 		row.RefMisses += misses
-		row.RefAccesses += accesses
+		row.RefAccesses += uint64(refs)
 		row.LinearNested += nested
 	}
 	if row.RefMisses == 0 {
@@ -162,8 +173,8 @@ func RunFigure11(f Figure, p trace.Profile, cfg AccessConfig) (AccessRow, error)
 
 // figureState is one process's simulation state: the variant page
 // tables, the reference TLB, and the linear variants' TLB pairs. The
-// serial and sharded replay paths build it identically; only the loop
-// structure around it differs.
+// replay stages (shard.go) and the unmemoized reference loop the tests
+// keep build it identically; only the loop structure around it differs.
 type figureState struct {
 	variants []TableVariant
 	builds   []*Build
@@ -179,18 +190,12 @@ type figureState struct {
 	// variant-independent, so one level models all of them — and
 	// pwcs[pwcIdx] is the page-walk cache of the single tree-walked
 	// variant. Both evolve only on the driver's stream-ordered miss
-	// path, which is what keeps sharded replay deterministic.
+	// path, which is what keeps the replay deterministic at every lane
+	// count.
 	l2       *swtlb.Cache
 	pwcs     []*walkcache.PWC
 	pwcIdx   int
 	pwcUpper int
-
-	// blockBuf is the block-prefetch gather buffer reused by every
-	// non-canonical variant walk, and canonBuf the canonical variant's,
-	// which must survive the later variants' gathers to fill the TLB.
-	// Reusing both keeps the miss path allocation-free.
-	blockBuf []pte.Entry
-	canonBuf []pte.Entry
 }
 
 // newFigureState builds the figure's page tables (one per variant) and
@@ -232,7 +237,7 @@ func newFigureState(f Figure, variants []TableVariant, snap trace.ProcessSnapsho
 				continue
 			}
 			if st.pwcIdx >= 0 {
-				// The sharded miss records carry exactly one walk-cache
+				// The miss records carry exactly one walk-cache
 				// hit bit, so one tree-walked variant per figure.
 				return nil, fmt.Errorf("sim: multiple walk-cached variants (%q, %q)",
 					st.variants[st.pwcIdx].Name, v.Name)
@@ -270,6 +275,7 @@ func newFigureState(f Figure, variants []TableVariant, snap trace.ProcessSnapsho
 			pt:    tlb.MustNew(tlb.Config{Kind: tlb.SinglePageSize, Entries: v.ReservedTLB, Scan: cfg.ScanTLB}),
 			table: lt,
 			class: v.Class,
+			upper: uint64(lt.UpperWalkCost(0).Lines),
 			l2:    cfg.MMU.newL2(cfg.LineModel),
 		}
 		if cfg.MMU.PWC {
@@ -278,132 +284,6 @@ func newFigureState(f Figure, variants []TableVariant, snap trace.ProcessSnapsho
 		st.lins = append(st.lins, ls)
 	}
 	return st, nil
-}
-
-// runProcess drives one process's trace through the figure's TLB and
-// page tables. With cfg.Shards > 1 it hands the replay to the sharded
-// fan-out/merge pipeline; the results are identical either way.
-func runProcess(f Figure, snap trace.ProcessSnapshot, refs int, cfg AccessConfig) (lineCounts, uint64, uint64, uint64, error) {
-	if cfg.Shards > 1 {
-		return runProcessSharded(f, snap, refs, cfg, cfg.Shards)
-	}
-
-	var lines lineCounts
-	st, err := newFigureState(f, f.Variants(), snap, cfg)
-	if err != nil {
-		return lines, 0, 0, 0, err
-	}
-
-	gen := trace.NewGenerator(snap, cfg.Seed*31+1)
-	var misses, nested uint64
-	err = replay(gen, cfg.Buf, refs, func(va addr.V) error {
-		res := st.refTLB.Access(va)
-		if !res.Hit {
-			misses++
-			if err := serviceMiss(f, va, res, st, &lines); err != nil {
-				return err
-			}
-		}
-		for _, ls := range st.lins {
-			n, err := serviceLinear(f, va, ls, &lines)
-			if err != nil {
-				return err
-			}
-			nested += n
-		}
-		return nil
-	})
-	if err != nil {
-		return lineCounts{}, 0, 0, 0, err
-	}
-	return lines, misses, uint64(refs), nested, nil
-}
-
-// serviceMiss services one reference-TLB miss: under a multi-level MMU
-// it probes the L2 first (an L2 hit refills the L1 with the base page
-// and skips every walk); on a full miss it walks every non-linear page
-// table for the faulting address — eliding the tree-walked variant's
-// upper levels on a page-walk-cache hit — and refills the reference
-// TLB (and the L2) with what the canonical (clustered) variant's own
-// walk returned, so no table is walked twice.
-func serviceMiss(f Figure, va addr.V, res tlb.Result, st *figureState, lines *lineCounts) error {
-	vpn := addr.VPNOf(va)
-	if st.l2 != nil {
-		// The probe itself costs one line per modelled hierarchy,
-		// charged to every non-linear variant hit or miss.
-		for _, v := range st.variants {
-			if v.ReservedTLB == 0 {
-				lines[v.Class] += l2ProbeLines
-			}
-		}
-		if st.l2.Access(va).Hit {
-			st.refTLB.Insert(baseRefill(vpn))
-			return nil
-		}
-	}
-	pwcHit := false
-	if st.pwcIdx >= 0 {
-		pwcHit = st.pwcs[st.pwcIdx].Probe(vpn)
-	}
-
-	if f == Fig11d && !res.SubblockMiss {
-		// Block miss with prefetch: gather the whole block (§4.4).
-		vpbn, _ := addr.BlockSplit(vpn, 4)
-		for i, v := range st.variants {
-			if v.ReservedTLB > 0 {
-				continue
-			}
-			br, ok := st.builds[i].Table.(pagetable.BlockReader)
-			if !ok {
-				return fmt.Errorf("variant %q cannot prefetch blocks", v.Name)
-			}
-			buf := &st.blockBuf
-			if i == st.canonIdx {
-				buf = &st.canonBuf
-			}
-			entries, cost, found := br.AppendBlock((*buf)[:0], vpbn, 4)
-			if !found {
-				return fmt.Errorf("variant %q lost block %#x", v.Name, uint64(vpbn))
-			}
-			*buf = entries
-			l := cost.Lines
-			if pwcHit && i == st.pwcIdx {
-				l = walkcache.ElideLines(l, st.pwcUpper)
-			}
-			lines[v.Class] += uint64(l)
-		}
-		st.refTLB.InsertBlock(vpbn, st.canonBuf)
-		if st.l2 != nil {
-			for _, e := range st.canonBuf {
-				st.l2.Insert(e)
-			}
-		}
-		return nil
-	}
-
-	var refill pte.Entry
-	for i, v := range st.variants {
-		if v.ReservedTLB > 0 {
-			continue
-		}
-		e, cost, ok := st.builds[i].Table.Lookup(va)
-		if !ok {
-			return fmt.Errorf("variant %q lost vpn %#x", v.Name, uint64(vpn))
-		}
-		if i == st.canonIdx {
-			refill = e
-		}
-		l := cost.Lines
-		if pwcHit && i == st.pwcIdx {
-			l = walkcache.ElideLines(l, st.pwcUpper)
-		}
-		lines[v.Class] += uint64(l)
-	}
-	st.refTLB.Insert(refill)
-	if st.l2 != nil {
-		st.l2.Insert(refill)
-	}
-	return nil
 }
 
 // linState is the linear page table's private TLB pair (§6.1): a main
@@ -417,77 +297,14 @@ type linState struct {
 	pt    *tlb.TLB
 	table *linear.Table
 	class LineClass
+	// upper is the nested-walk line cost. UpperWalkCost is a constant
+	// of the table's configuration (levels and upper-walk mode), so it
+	// is hoisted out of the replay.
+	upper uint64
 	l2    *swtlb.Cache
 	pwc   *walkcache.PWC
 	// blockBuf is the reused block-prefetch gather buffer.
 	blockBuf []pte.Entry
-}
-
-// serviceLinear advances the linear variant's TLBs for one reference. A
-// main-TLB miss costs one leaf-PTE line; a nested miss on the page-table
-// page's mapping adds the upper-level walk. The resulting line count is
-// later normalized by the 64-entry TLB's misses, charging the
-// opportunity cost of the reserved entries exactly as §6.1 does.
-func serviceLinear(f Figure, va addr.V, ls *linState, lines *lineCounts) (uint64, error) {
-	res := ls.main.Access(va)
-	if res.Hit {
-		return 0, nil
-	}
-	vpn := addr.VPNOf(va)
-
-	if ls.l2 != nil {
-		lines[ls.class] += l2ProbeLines
-		if ls.l2.Access(va).Hit {
-			// An L2 hit hands the base translation straight up: no PTE
-			// array read, no nested page-table-page translation.
-			ls.main.Insert(baseRefill(vpn))
-			return 0, nil
-		}
-	}
-
-	if f == Fig11d && !res.SubblockMiss {
-		// Block miss with prefetch: the block's PTEs are adjacent in the
-		// PTE array.
-		vpbn, _ := addr.BlockSplit(vpn, 4)
-		entries, cost, ok := ls.table.AppendBlock(ls.blockBuf[:0], vpbn, 4)
-		if !ok {
-			return 0, fmt.Errorf("linear lost block %#x", uint64(vpbn))
-		}
-		ls.blockBuf = entries
-		lines[ls.class] += uint64(cost.Lines)
-		ls.main.InsertBlock(vpbn, entries)
-		if ls.l2 != nil {
-			for _, e := range entries {
-				ls.l2.Insert(e)
-			}
-		}
-	} else {
-		e, cost, ok := ls.table.Lookup(va)
-		if !ok {
-			return 0, fmt.Errorf("linear lost vpn %#x", uint64(vpn))
-		}
-		lines[ls.class] += uint64(cost.Lines)
-		ls.main.Insert(e)
-		if ls.l2 != nil {
-			ls.l2.Insert(e)
-		}
-	}
-
-	// The leaf PTE lives in virtual memory: translating its page can
-	// nest-miss in the reserved entries.
-	leafVA := addr.VAOf(addr.VPN(linear.LeafPageIndex(vpn)))
-	if !ls.pt.Access(leafVA).Hit {
-		w := uint64(ls.table.UpperWalkCost(vpn).Lines)
-		if ls.pwc != nil && ls.pwc.Probe(vpn) {
-			// A walk-cache hit skips the upper directories: only the
-			// final directory line is read (ElideLines(upper, upper)).
-			w = 1
-		}
-		lines[ls.class] += w
-		ls.pt.Insert(pteForLeaf(vpn))
-		return 1, nil
-	}
-	return 0, nil
 }
 
 // pteForLeaf fabricates a TLB entry for a page-table page: only the tag

@@ -1,7 +1,7 @@
 package sim
 
 // End-to-end benchmarks for the translation hierarchy: the full Figure
-// 11a replay under each -mmu pipeline, serial and sharded. flat is the
+// 11a replay under each -mmu pipeline, at one lane and four. flat is the
 // pre-hierarchy baseline (and must stay within noise of
 // BenchmarkFigure11Replay/e64/indexed — the hierarchy plumbing is free
 // when unconfigured); l2 adds the per-miss L2 probe and its insert

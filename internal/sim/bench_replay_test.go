@@ -1,7 +1,7 @@
 package sim
 
 // End-to-end replay benchmarks for the reference fast path: the full
-// Figure 11a pipeline — buffered generation, TLB probe, miss service
+// Figure 11a replay — buffered generation, TLB probe, miss service
 // across all four page-table variants, dense line accounting — with the
 // indexed TLB versus the retained linear-scan reference (ScanTLB). Both
 // modes produce byte-identical rows; only the speed differs. The
@@ -45,12 +45,12 @@ func BenchmarkFigure11Replay(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure11Sharded measures the fan-out/merge pipeline against
-// the serial baseline above (Figure11Replay/e64/indexed): the same
-// Figure 11a run at lane counts 1 through 8. s1 is the serial loop via
-// the dispatch fallthrough; s2+ split the replay across the driver,
-// linear, and walk lanes with memoized pure lookups, which is where the
-// speedup comes from even on a single core.
+// BenchmarkFigure11Sharded measures the replay stages at lane counts 1
+// through 8 on the same Figure 11a run as Figure11Replay/e64/indexed. s1
+// runs the driver, walk and linear stages inline on one goroutine; s2+
+// fan them out over goroutine lanes. The walk stage's per-page memo
+// gives the gain over a per-miss walk at every lane count; further
+// lanes add only parallelism.
 func BenchmarkFigure11Sharded(b *testing.B) {
 	p, ok := trace.ProfileByName("gcc")
 	if !ok {
@@ -72,10 +72,11 @@ func BenchmarkFigure11Sharded(b *testing.B) {
 
 // BenchmarkFigure11Prefetch measures Figure 11d, the complete-subblock
 // TLB with block prefetch (§4.4): every block miss gathers the whole
-// block from all four variant tables (the reference TLB's refill reuses
-// the clustered variant's gather), so it times the block-gather and block-fill paths the Figure 11a
-// benchmarks above never reach. serial is the single-lane loop, s4 the
-// sharded pipeline with memoized gathers.
+// block from the clustered table (whose gather also refills the
+// reference TLB) and the linear table, and charges the other variants'
+// memoized block gathers, so it times the block-gather and block-fill
+// paths the Figure 11a benchmarks above never reach. serial is one
+// lane, s4 the fanned-out stages.
 func BenchmarkFigure11Prefetch(b *testing.B) {
 	p, ok := trace.ProfileByName("gcc")
 	if !ok {

@@ -70,7 +70,7 @@ func ParseMMU(s string) (MMUConfig, error) {
 // l2ProbeLines is the cache-line cost of one L2 TLB probe, hit or miss:
 // the probed set fits one line (MMUConfig.L2Ways documents the bound),
 // exactly the swtlb probe meter's answer, hoisted to a constant so the
-// sharded walk lanes charge it with pure arithmetic.
+// walk stage charges it with pure arithmetic.
 const l2ProbeLines = 1
 
 // walkCacheSpan returns log2 of the page span one cached upper-walk

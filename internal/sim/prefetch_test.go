@@ -2,7 +2,8 @@ package sim
 
 // Guards for the allocation-free block-prefetch miss path (§4.4,
 // Figure 11d): AppendBlock is the single gather behind LookupBlock, and
-// a warmed serviceMiss reuses its figureState buffer and the TLB slabs.
+// the warmed driver and walk stages reuse their gather buffers and the
+// TLB slabs.
 
 import (
 	"fmt"
@@ -96,10 +97,12 @@ func TestAppendBlockMatchesLookupBlock(t *testing.T) {
 }
 
 // TestFig11dBlockMissZeroAlloc pins that a warmed Figure 11d block miss
-// — five table gathers into the shared figureState buffer, the
-// reference TLB's block fill and, under a hierarchy, the L2 refill and
-// walk-cache probe — allocates nothing. The cycle prefetches four times
-// as many blocks as the TLB has entries, so slots are reused.
+// allocates nothing: the driver's canonical gather and the reference
+// TLB's block fill (and, under a hierarchy, the L2 refill and
+// walk-cache probe), then the walk stage's gathers of the other
+// variants. The memo is cleared each cycle so every block is walked
+// again rather than served from it. The cycle prefetches four times as
+// many blocks as the TLB has entries, so slots are reused.
 func TestFig11dBlockMissZeroAlloc(t *testing.T) {
 	p, ok := trace.ProfileByName("mp3d")
 	if !ok {
@@ -122,16 +125,25 @@ func TestFig11dBlockMissZeroAlloc(t *testing.T) {
 			if len(blocks) <= cfg.Entries {
 				t.Fatalf("only %d blocks for %d TLB entries", len(blocks), cfg.Entries)
 			}
-			var lines lineCounts
+			d := newDriver(Fig11d, st)
+			w := newWalkLane(st)
+			w.memo = (*ReplayBuf)(nil).takeMemo(snap, len(w.walked), true)
+			recs := make([]addr.V, 1)
 			cycle := func() {
+				w.memo.reset(snap, len(w.walked), true)
 				for _, vpbn := range blocks {
 					va := addr.VAOf(addr.BlockJoin(vpbn, 0, 4))
-					if err := serviceMiss(Fig11d, va, tlb.Result{}, st, &lines); err != nil {
+					rec, err := d.miss(va, tlb.Result{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					recs[0] = rec
+					if err := w.run(recs); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
-			cycle() // warm: the gather buffer at its working size
+			cycle() // warm: the gather buffers at their working size
 			if n := testing.AllocsPerRun(10, cycle); n != 0 {
 				t.Fatalf("%d block misses: %v allocs per cycle, want 0", len(blocks), n)
 			}

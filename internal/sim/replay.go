@@ -24,15 +24,18 @@ const replayChunk = 4096
 // allocations for the whole run; a nil *ReplayBuf still works and
 // allocates per replay.
 //
-// It is a free list rather than a single slot because the sharded
-// replay pipeline keeps several chunks in flight at once (reference
-// and miss buffers per pipeline stage), and because take used to
+// It is a free list rather than a single slot because the fanned-out
+// Figure 11 replay keeps several chunks in flight at once (reference
+// and miss buffers per stage), and because take used to
 // discard a grown backing array whenever a later caller asked for a
 // different chunk size — every buffer returned through put stays
-// available for any subsequent take it can satisfy. Not safe for
-// concurrent use: only the pipeline's driver goroutine touches it.
+// available for any subsequent take it can satisfy. It also keeps the
+// Figure 11 walk stage's cost memos, so a worker's cells reuse one
+// memo slab per walk lane. Not safe for concurrent use: only the
+// replay's driver goroutine touches it.
 type ReplayBuf struct {
-	free [][]addr.V
+	free  [][]addr.V
+	memos []*costMemo
 }
 
 // take returns an empty chunk with capacity at least n, reusing the
@@ -69,6 +72,27 @@ func (b *ReplayBuf) put(s []addr.V) {
 		return
 	}
 	b.free = append(b.free, s)
+}
+
+// takeMemo returns a cleared walk-cost memo sized for snap (see
+// costMemo.reset), reusing a returned memo's storage when one is free.
+func (b *ReplayBuf) takeMemo(snap trace.ProcessSnapshot, stride int, blocks bool) *costMemo {
+	var m *costMemo
+	if b != nil && len(b.memos) > 0 {
+		m = b.memos[len(b.memos)-1]
+		b.memos = b.memos[:len(b.memos)-1]
+	} else {
+		m = new(costMemo)
+	}
+	m.reset(snap, stride, blocks)
+	return m
+}
+
+// putMemo returns a memo for later takeMemo calls.
+func (b *ReplayBuf) putMemo(m *costMemo) {
+	if b != nil {
+		b.memos = append(b.memos, m)
+	}
 }
 
 // replay streams refs references from gen through step in buffered

@@ -1,10 +1,11 @@
 package sim
 
-// Identity tests for the sharded replay pipeline: every lane count must
-// reproduce the serial row field for field — same misses, same nested
-// count, same per-variant average lines to the last bit. The shard/merge
-// contract (DESIGN.md §10) promises exact functional decomposition, so
-// these tests compare with ==, never with tolerances.
+// Identity tests for the Figure 11 replay stages: every lane count must
+// reproduce the unmemoized reference loop (refmodel_test.go) field for
+// field — same misses, same nested count, same per-variant average
+// lines to the last bit. The shard/merge contract (DESIGN.md §10)
+// promises exact functional decomposition, so these tests compare with
+// ==, never with tolerances.
 
 import (
 	"fmt"
@@ -31,15 +32,15 @@ func figureRowsEqual(t *testing.T, label string, got, want AccessRow) {
 	}
 }
 
-// TestFigure11ShardIdentity is the acceptance gate for the pipeline:
-// for two workloads (gcc: multi-process, mixed patterns; mp3d:
-// single-process) and all four figures, the sharded row at lane counts
-// 1, 2, 4, and 8 equals the serial row exactly. Shards=1 exercises the
-// dispatch fallthrough to the serial loop. The line-size axis adds 64
-// and 128-byte lines, where a clustered node's header and mapping word
-// can fall on different lines (§6.3): the serial path refills the TLB
-// from the clustered variant's own walk while the sharded driver walks
-// the canonical table separately, so both must agree at every geometry.
+// TestFigure11ShardIdentity is the acceptance gate for the replay
+// stages: for two workloads (gcc: multi-process, mixed patterns; mp3d:
+// single-process) and all four figures, the row at lane counts 1, 2, 4,
+// and 8 equals the reference loop's row exactly. Shards=1 runs the
+// stages inline, 2 fans out the linear stage, 4 and 8 add walk lanes.
+// The line-size axis adds 64 and 128-byte lines, where a clustered
+// node's header and mapping word can fall on different lines (§6.3):
+// both the driver and the reference loop refill the TLB from the
+// clustered walk they charge, so both must agree at every geometry.
 func TestFigure11ShardIdentity(t *testing.T) {
 	for _, name := range []string{"gcc", "mp3d"} {
 		p, ok := trace.ProfileByName(name)
@@ -49,7 +50,7 @@ func TestFigure11ShardIdentity(t *testing.T) {
 		for _, lineSize := range []int{256, 128, 64} {
 			model := memcost.NewModel(lineSize)
 			for _, f := range []Figure{Fig11a, Fig11b, Fig11c, Fig11d} {
-				serial, err := RunFigure11(f, p, AccessConfig{Refs: 50_000, LineModel: model, Buf: &ReplayBuf{}})
+				ref, err := runFigure11Ref(f, p, AccessConfig{Refs: 50_000, LineModel: model, Buf: &ReplayBuf{}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -60,7 +61,7 @@ func TestFigure11ShardIdentity(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					figureRowsEqual(t, fmt.Sprintf("%s/line=%d/%v/shards=%d", name, lineSize, f, shards), row, serial)
+					figureRowsEqual(t, fmt.Sprintf("%s/line=%d/%v/shards=%d", name, lineSize, f, shards), row, ref)
 				}
 			}
 		}
@@ -95,8 +96,8 @@ func TestNewFigureStateNeedsClustered(t *testing.T) {
 // TestFigure11ShardIdentityTinyRefs drives the zero-reference-cell edge:
 // with a tiny total budget, RefShare rounds some of gcc's processes down
 // to zero references, and the remaining stream is shorter than one chunk
-// and not divisible by the lane count. The sharded rows must still match
-// serially.
+// and not divisible by the lane count. Every lane count must still match
+// the reference loop.
 func TestFigure11ShardIdentityTinyRefs(t *testing.T) {
 	p, ok := trace.ProfileByName("gcc")
 	if !ok {
@@ -112,25 +113,25 @@ func TestFigure11ShardIdentityTinyRefs(t *testing.T) {
 	if !zeroed {
 		t.Fatalf("want at least one process rounded to zero references at Refs=%d", refs)
 	}
-	serial, err := RunFigure11(Fig11a, p, AccessConfig{Refs: refs})
+	ref, err := runFigure11Ref(Fig11a, p, AccessConfig{Refs: refs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{2, 8} {
+	for _, shards := range []int{1, 2, 8} {
 		row, err := RunFigure11(Fig11a, p, AccessConfig{Refs: refs, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
-		figureRowsEqual(t, fmt.Sprintf("tiny/shards=%d", shards), row, serial)
+		figureRowsEqual(t, fmt.Sprintf("tiny/shards=%d", shards), row, ref)
 	}
 }
 
 // TestFigure11ShardIdentityMMU extends the identity gate to the
 // multi-level hierarchies: the L2 TLB and page-walk cache are stateful,
-// but they evolve only on stream-ordered lanes (driver for the shared
-// levels, linear lane for the per-variant ones) while the walk lanes
-// consume their outcomes as record bits, so every lane count must still
-// reproduce the serial row exactly under -mmu l2 and l2+pwc.
+// but they evolve only on stream-ordered stages (driver for the shared
+// levels, linear stage for the per-variant ones) while the walk stage
+// consumes their outcomes as record bits, so every lane count must
+// still reproduce the reference loop exactly under -mmu l2 and l2+pwc.
 func TestFigure11ShardIdentityMMU(t *testing.T) {
 	p, ok := trace.ProfileByName("gcc")
 	if !ok {
@@ -142,18 +143,18 @@ func TestFigure11ShardIdentityMMU(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, f := range []Figure{Fig11a, Fig11b, Fig11c, Fig11d} {
-			serial, err := RunFigure11(f, p, AccessConfig{Refs: 30_000, MMU: mmuCfg, Buf: &ReplayBuf{}})
+			ref, err := runFigure11Ref(f, p, AccessConfig{Refs: 30_000, MMU: mmuCfg, Buf: &ReplayBuf{}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, shards := range []int{2, 4, 8} {
+			for _, shards := range []int{1, 2, 4, 8} {
 				row, err := RunFigure11(f, p, AccessConfig{
 					Refs: 30_000, Shards: shards, MMU: mmuCfg, Buf: &ReplayBuf{},
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				figureRowsEqual(t, fmt.Sprintf("mmu=%s/%v/shards=%d", spec, f, shards), row, serial)
+				figureRowsEqual(t, fmt.Sprintf("mmu=%s/%v/shards=%d", spec, f, shards), row, ref)
 			}
 		}
 	}
@@ -221,28 +222,60 @@ func TestFigure11MMUReducesWalks(t *testing.T) {
 	}
 }
 
-// TestReplayBufShardedSteadyStateAllocs pins satellite (a): the free
-// list retains grown buffers across takes of differing sizes, so a
-// warmed ReplayBuf serves the sharded pipeline's multi-buffer pattern
-// without allocating.
+// TestReplayBufShardedSteadyStateAllocs pins that a warmed ReplayBuf
+// serves both replay schedules without allocating. The fanned-out one
+// keeps several chunks live at once, taken at mixed sizes and returned
+// in arbitrary order; the free list must retain every grown buffer.
+// The one-lane schedule reuses a chunk pair and the walk stage's cost
+// memo: a whole inline replay over warmed stages allocates nothing.
 func TestReplayBufShardedSteadyStateAllocs(t *testing.T) {
-	buf := &ReplayBuf{}
-	cycle := func() {
-		// The pipeline's pattern: several chunks live at once, taken at
-		// mixed sizes (reference buffers at replayChunk, miss buffers
-		// smaller), returned in arbitrary order.
-		a := buf.take(replayChunk)
-		b := buf.take(replayChunk / 4)
-		c := buf.take(replayChunk)
-		d := buf.take(replayChunk / 2)
-		a = append(a[:0], 1)
-		buf.put(c)
-		buf.put(a)
-		buf.put(d)
-		buf.put(b)
-	}
-	cycle() // warm: populate the free list with grown buffers
-	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
-		t.Fatalf("warmed ReplayBuf allocates %v times per cycle", allocs)
-	}
+	t.Run("fanned", func(t *testing.T) {
+		buf := &ReplayBuf{}
+		cycle := func() {
+			a := buf.take(replayChunk)
+			b := buf.take(replayChunk / 4)
+			c := buf.take(replayChunk)
+			d := buf.take(replayChunk / 2)
+			a = append(a[:0], 1)
+			buf.put(c)
+			buf.put(a)
+			buf.put(d)
+			buf.put(b)
+		}
+		cycle() // warm: populate the free list with grown buffers
+		if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+			t.Fatalf("warmed ReplayBuf allocates %v times per cycle", allocs)
+		}
+	})
+	t.Run("one-lane", func(t *testing.T) {
+		p, ok := trace.ProfileByName("mp3d")
+		if !ok {
+			t.Fatal("no mp3d profile")
+		}
+		snap := p.Snapshot()[0]
+		for _, f := range []Figure{Fig11a, Fig11d} {
+			cfg := AccessConfig{}
+			cfg.fill()
+			st, err := newFigureState(f, f.Variants(), snap, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := &ReplayBuf{}
+			gen := trace.NewGenerator(snap, 1)
+			d := newDriver(f, st)
+			ll := &linLane{f: f, lins: st.lins}
+			w := newWalkLane(st)
+			cycle := func() {
+				w.memo = buf.takeMemo(snap, len(w.walked), f == Fig11d)
+				if err := replayInline(gen, buf, 2*replayChunk, d, w, ll); err != nil {
+					t.Fatal(err)
+				}
+				buf.putMemo(w.memo)
+			}
+			cycle() // warm: chunk pair, memo slab, gather buffers
+			if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+				t.Fatalf("%v: warmed one-lane replay allocates %v times per cycle", f, allocs)
+			}
+		}
+	})
 }
