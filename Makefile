@@ -3,6 +3,7 @@
 # mean the same thing.
 
 GO      ?= go
+GOFMT   ?= gofmt
 FUZZTIME ?= 10s
 
 .PHONY: all build test lint fuzz-smoke bench bench-alloc bench-replay bench-mmu bench-replica
@@ -16,10 +17,12 @@ build:
 test:
 	$(GO) test -race ./...
 
-# lint is the merge gate: go vet plus the repo's own analyzer suite
-# (cmd/ptlint). ptlint exits non-zero on any unsuppressed finding;
-# -stats reports per-analyzer wall time on stderr.
+# lint is the merge gate: gofmt, go vet and the repo's own analyzer
+# suite (cmd/ptlint). The gofmt step fails on any file `gofmt -l`
+# lists; ptlint exits non-zero on any unsuppressed finding; -stats
+# reports per-analyzer wall time on stderr.
 lint:
+	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/ptlint -stats ./...
 
@@ -48,26 +51,25 @@ bench-alloc:
 	| $(GO) run ./cmd/benchjson > BENCH_alloc.json
 
 # bench-replay measures the reference-replay fast path — indexed vs
-# linear-scan TLB lookup, buffered zero-alloc trace generation, and the
-# end-to-end Figure 11 replay at 1/2/4/8 lanes, plus Figure 11d's
-# block-prefetch path at 1 and 4 lanes, plus the root package's
-# Figure 11a and 11d rows over every traced workload — and snapshots
-# the result as BENCH_replay.json. The indexed/scan pairs share every
-# other line of code, so the ratio isolates the index; every lane count
-# renders identical bytes, so the lane ratios isolate the schedule.
-# Regenerate after TLB or replay changes and commit the diff.
+# linear-scan TLB lookup, buffered zero-alloc trace generation, the
+# end-to-end Figure 11a replay at three TLB sizes, Figure 11d's
+# block-prefetch path, and the root package's Figure 11a and 11d rows
+# over every traced workload — and snapshots the result as
+# BENCH_replay.json. The indexed/scan pairs share every other line of
+# code, so the ratio isolates the index. Regenerate after TLB or replay
+# changes and commit the diff.
 bench-replay:
 	{ $(GO) test -run '^$$' -bench BenchmarkAccess -benchmem -count 3 ./internal/tlb/ ; \
 	  $(GO) test -run '^$$' -bench BenchmarkGeneratorFill -benchmem -count 3 ./internal/trace/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkFigure11(Replay|Sharded|Prefetch)' -benchmem -count 3 ./internal/sim/ ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkFigure11(Replay|Prefetch)' -benchmem -count 3 ./internal/sim/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFigure11(a|d)$$' -benchmem -count 3 . ; } \
 	| $(GO) run ./cmd/benchjson > BENCH_replay.json
 
 # bench-mmu measures the composable translation hierarchy — the
 # Hierarchy dispatch micro-costs (L1 hit bare vs behind the full
 # L1+L2+PWC chain, and the miss path through filter and fill) and the
-# end-to-end Figure 11a replay under each -mmu pipeline, at one lane
-# and four — and snapshots the result as BENCH_mmu.json. flat vs
+# end-to-end Figure 11a replay under each -mmu pipeline — and snapshots
+# the result as BENCH_mmu.json. flat vs
 # Figure11Replay/e64/indexed bounds the cost of the abstraction when
 # unconfigured. Regenerate after mmu or replay changes and commit the
 # diff.

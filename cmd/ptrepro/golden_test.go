@@ -30,13 +30,10 @@ func TestGoldenOutput(t *testing.T) {
 
 	var buf bytes.Buffer
 	for i, exp := range []string{"table1", "fig9", "fig10", "table2", "lines", "churn", "hierarchy", "replication"} {
-		// Vary the worker count, shard count and replica live cap as we
-		// go: the golden file is also a determinism check, so neither cell
-		// scheduling, intra-cell lane grants, nor the replication
-		// experiment's concurrency cap may leak into the bytes.
+		// Vary the worker count as we go: the golden file is also a
+		// determinism check, so cell scheduling may not leak into the
+		// bytes.
 		*workersFlag = 1 + i%4
-		*shardsFlag = 1 + (i*3)%8
-		*replicasFlag = i % 3 // 0 (uncapped), 1 (serial), 2
 		if err := run(context.Background(), &buf, exp); err != nil {
 			t.Fatalf("%s: %v", exp, err)
 		}

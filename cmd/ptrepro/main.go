@@ -6,14 +6,12 @@
 //
 // Every experiment resolves through the engine registry
 // (internal/engine): the engine fans each experiment's cells over a
-// bounded worker pool and merges results deterministically, and -shards
-// additionally splits each cell's replay across intra-cell lanes carved
-// from the same worker budget, so output is byte-identical at any
-// (-workers, -shards) combination for a fixed -seed/-refs.
+// bounded worker pool and merges results deterministically, so output
+// is byte-identical at any -workers for a fixed -seed/-refs.
 //
 // Usage:
 //
-//	ptrepro [-exp all|<name>] [-refs N] [-seed S] [-workers N] [-shards K] [-replicas R] [-mmu flat|l2|l2+pwc] [-csv] [-v]
+//	ptrepro [-exp all|<name>] [-refs N] [-seed S] [-workers N] [-mmu flat|l2|l2+pwc] [-csv] [-v]
 //	        [-cpuprofile F] [-memprofile F] [-trace F]
 //	ptrepro -list
 //
@@ -37,17 +35,15 @@ import (
 )
 
 var (
-	expFlag      = flag.String("exp", "all", "experiment to run (see -list)")
-	refsFlag     = flag.Int("refs", 400_000, "references per workload trace")
-	seedFlag     = flag.Uint64("seed", 1, "base trace seed (cells derive independent streams)")
-	csvFlag      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	workersFlag  = flag.Int("workers", runtime.GOMAXPROCS(0), "max concurrent experiment cells")
-	shardsFlag   = flag.Int("shards", 1, "intra-cell replay lanes (shares the -workers budget; results identical at any value)")
-	replicasFlag = flag.Int("replicas", 0, "cap on concurrently live replicated point replays in the replication experiment (0 = lanes decide; results identical at any value)")
-	mmuFlag      = flag.String("mmu", "flat", "translation hierarchy around each simulated TLB: flat, l2, or l2+pwc")
-	verboseFlag  = flag.Bool("v", false, "log per-experiment progress to stderr")
-	listFlag     = flag.Bool("list", false, "list registered experiments and exit")
-	profFlags    = prof.Register(flag.CommandLine)
+	expFlag     = flag.String("exp", "all", "experiment to run (see -list)")
+	refsFlag    = flag.Int("refs", 400_000, "references per workload trace")
+	seedFlag    = flag.Uint64("seed", 1, "base trace seed (cells derive independent streams)")
+	csvFlag     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+	workersFlag = flag.Int("workers", runtime.GOMAXPROCS(0), "max concurrent experiment cells")
+	mmuFlag     = flag.String("mmu", "flat", "translation hierarchy around each simulated TLB: flat, l2, or l2+pwc")
+	verboseFlag = flag.Bool("v", false, "log per-experiment progress to stderr")
+	listFlag    = flag.Bool("list", false, "list registered experiments and exit")
+	profFlags   = prof.Register(flag.CommandLine)
 )
 
 func main() {
@@ -73,13 +69,11 @@ func newEngine() *engine.Engine {
 	// (flat) value by reproducing the pre-hierarchy output byte for byte.
 	mmu, _ := sim.ParseMMU(*mmuFlag)
 	return engine.New(engine.Options{
-		Refs:     *refsFlag,
-		Seed:     *seedFlag,
-		Workers:  *workersFlag,
-		Shards:   *shardsFlag,
-		Replicas: *replicasFlag,
-		MMU:      mmu,
-		Verbose:  *verboseFlag,
+		Refs:    *refsFlag,
+		Seed:    *seedFlag,
+		Workers: *workersFlag,
+		MMU:     mmu,
+		Verbose: *verboseFlag,
 	})
 }
 

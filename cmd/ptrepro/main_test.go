@@ -32,29 +32,24 @@ func TestRunAllExperiments(t *testing.T) {
 }
 
 // TestReplicationGridIdentity holds the replication experiment to its
-// acceptance contract: rendered bytes are identical at every
-// (-workers, -shards, -replicas) combination.
+// acceptance contract: rendered bytes are identical at every -workers.
 func TestReplicationGridIdentity(t *testing.T) {
 	*refsFlag = 4_000
 	*seedFlag = 1
 	*csvFlag = false
-	grid := []struct{ workers, shards, replicas int }{
-		{1, 1, 0}, {8, 1, 0}, {3, 8, 0}, {4, 4, 1}, {2, 6, 2}, {8, 8, 16},
-	}
 	var want []byte
-	for _, g := range grid {
-		*workersFlag, *shardsFlag, *replicasFlag = g.workers, g.shards, g.replicas
+	for _, workers := range []int{1, 8, 3, 4, 2} {
+		*workersFlag = workers
 		var buf bytes.Buffer
 		if err := run(context.Background(), &buf, "replication"); err != nil {
-			t.Fatalf("(%d,%d,%d): %v", g.workers, g.shards, g.replicas, err)
+			t.Fatalf("-workers=%d: %v", workers, err)
 		}
 		if want == nil {
 			want = buf.Bytes()
 			continue
 		}
 		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("output at (-workers=%d -shards=%d -replicas=%d) diverged from (-workers=1 -shards=1 -replicas=0)",
-				g.workers, g.shards, g.replicas)
+			t.Errorf("output at -workers=%d diverged from -workers=1", workers)
 		}
 	}
 }
@@ -65,7 +60,7 @@ func TestCPUProfileSameBytes(t *testing.T) {
 	*refsFlag = 20_000
 	*seedFlag = 1
 	*csvFlag = false
-	*workersFlag, *shardsFlag = 2, 1
+	*workersFlag = 2
 	var plain bytes.Buffer
 	if err := run(context.Background(), &plain, "fig11a"); err != nil {
 		t.Fatal(err)

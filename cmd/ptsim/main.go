@@ -3,9 +3,7 @@
 // cache lines accessed per TLB miss — a single cell of Figure 11, with
 // every knob exposed. A workload's processes are themselves independent
 // cells, fanned over the engine's worker pool (-workers) with per-cell
-// derived seeds; -shards grants cells extra lanes from the same budget
-// to overlap trace generation with replay. Output is identical at every
-// (-workers, -shards) combination.
+// derived seeds. Output is identical at every -workers.
 //
 // -replicas N (0 = off) replicates each process's table across N
 // NUMA-node replicas: TLB misses round-robin over eight node-bound read
@@ -60,7 +58,6 @@ var (
 	sbf       = flag.Int("sbf", 16, "subblock factor")
 	seed      = flag.Uint64("seed", 1, "base trace seed")
 	workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "max concurrent process cells")
-	shards    = flag.Int("shards", 1, "intra-cell replay lanes (shares the -workers budget; results identical at any value)")
 	mmuSpec   = flag.String("mmu", "flat", "translation hierarchy around the simulated TLB: flat, l2, or l2+pwc")
 	replicas  = flag.Int("replicas", 0, "replicate the page table across N NUMA-node replicas (0 = off): TLB misses are served through node-bound replicated read paths and priced by the NUMA line model")
 	profFlags = prof.Register(flag.CommandLine)
@@ -129,12 +126,9 @@ type procResult struct {
 	remoteLines uint64
 }
 
-// simProcess drives one process's trace — one cell of the run. With
-// lanes > 1 a prefetch goroutine generates the trace in chunks ahead of
-// the service loop; the service order (and so every counter) is exactly
-// the serial stream order, lanes only overlap generation with replay.
+// simProcess drives one process's trace — one cell of the run.
 func simProcess(snap trace.ProcessSnapshot, n int, kind tlb.Kind, mode sim.PTEMode,
-	m memcost.Model, mcfg sim.MMUConfig, cellSeed uint64, workloadName string, lanes int) (procResult, error) {
+	m memcost.Model, mcfg sim.MMUConfig, cellSeed uint64, workloadName string) (procResult, error) {
 
 	var res procResult
 	pt, err := newTable(m)
@@ -228,16 +222,10 @@ func simProcess(snap trace.ProcessSnapshot, n int, kind tlb.Kind, mode sim.PTEMo
 		h.Insert(e)
 		return nil
 	}
-	if lanes > 1 {
-		if err := servicePrefetched(snap, n, cellSeed, service); err != nil {
+	gen := trace.NewGenerator(snap, cellSeed)
+	for i := 0; i < n; i++ {
+		if err := service(gen.Next()); err != nil {
 			return res, err
-		}
-	} else {
-		gen := trace.NewGenerator(snap, cellSeed)
-		for i := 0; i < n; i++ {
-			if err := service(gen.Next()); err != nil {
-				return res, err
-			}
 		}
 	}
 	res.misses = t.Stats().Misses
@@ -254,56 +242,6 @@ func simProcess(snap trace.ProcessSnapshot, n int, kind tlb.Kind, mode sim.PTEMo
 	res.info = fmt.Sprintf("%s/%s: table=%s PTE bytes=%d nodes=%d mappings=%d",
 		workloadName, snap.Name, build.Table.Name(), sz.PTEBytes, sz.Nodes, sz.Mappings)
 	return res, nil
-}
-
-// servicePrefetched streams the generator through service with a
-// one-goroutine prefetch lane: two chunk buffers ping-pong between the
-// generator and the service loop over filled/free channels, so trace
-// generation overlaps TLB replay while service still sees every address
-// in exact stream order. The deferred close(done) releases the producer
-// if service fails mid-stream, so no goroutine leaks on error.
-func servicePrefetched(snap trace.ProcessSnapshot, n int, cellSeed uint64, service func(addr.V) error) error {
-	const chunk = 4096
-	filled := make(chan []addr.V, 2)
-	free := make(chan []addr.V, 2)
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		defer close(filled)
-		gen := trace.NewGenerator(snap, cellSeed)
-		for off := 0; off < n; off += chunk {
-			c := chunk
-			if n-off < c {
-				c = n - off
-			}
-			var buf []addr.V
-			select {
-			case buf = <-free:
-			case <-done:
-				return
-			}
-			buf = buf[:0]
-			for i := 0; i < c; i++ {
-				buf = append(buf, gen.Next())
-			}
-			select {
-			case filled <- buf:
-			case <-done:
-				return
-			}
-		}
-	}()
-	free <- make([]addr.V, 0, chunk)
-	free <- make([]addr.V, 0, chunk)
-	for buf := range filled {
-		for _, va := range buf {
-			if err := service(va); err != nil {
-				return err
-			}
-		}
-		free <- buf
-	}
-	return nil
 }
 
 func run(ctx context.Context, w io.Writer) error {
@@ -335,23 +273,23 @@ func run(ctx context.Context, w io.Writer) error {
 	}
 	m := memcost.NewModel(*lineSize)
 
-	var cells []engine.ShardedCell[procResult]
+	var cells []engine.Cell[procResult]
 	snaps := p.Snapshot()
 	for pi, snap := range snaps {
 		n := int(float64(*refs) * p.Procs[pi].RefShare)
 		if n == 0 {
 			continue
 		}
-		cells = append(cells, engine.ShardedCell[procResult]{
+		cells = append(cells, engine.Cell[procResult]{
 			Key: "ptsim/" + p.Name + "/" + snap.Name,
-			Run: func(ctx context.Context, cellSeed uint64, lanes int) (procResult, error) {
-				return simProcess(snap, n, kind, mode, m, mcfg, cellSeed, p.Name, lanes)
+			Run: func(ctx context.Context, cellSeed uint64) (procResult, error) {
+				return simProcess(snap, n, kind, mode, m, mcfg, cellSeed, p.Name)
 			},
 		})
 	}
 
-	eng := engine.New(engine.Options{Refs: *refs, Seed: *seed, Workers: *workers, Shards: *shards, MMU: mcfg})
-	results, err := engine.FanShardedWith(ctx, eng, "ptsim", cells)
+	eng := engine.New(engine.Options{Refs: *refs, Seed: *seed, Workers: *workers, MMU: mcfg})
+	results, err := engine.FanWith(ctx, eng, "ptsim", cells)
 	if err != nil {
 		return err
 	}
@@ -373,8 +311,8 @@ func run(ctx context.Context, w io.Writer) error {
 	if !mcfg.Flat() {
 		mmuNote = fmt.Sprintf(" mmu=%s", mcfg)
 	}
-	fmt.Fprintf(w, "\nworkload=%s table=%s tlb=%s entries=%d line=%d workers=%d shards=%d%s\n",
-		p.Name, *tableName, *tlbName, *entries, *lineSize, *workers, *shards, mmuNote)
+	fmt.Fprintf(w, "\nworkload=%s table=%s tlb=%s entries=%d line=%d workers=%d%s\n",
+		p.Name, *tableName, *tlbName, *entries, *lineSize, *workers, mmuNote)
 	fmt.Fprintf(w, "accesses=%d misses=%d miss-ratio=%.5f\n",
 		totAccesses, totMisses, float64(totMisses)/float64(totAccesses))
 	if totMisses > 0 {

@@ -40,8 +40,9 @@ type Config struct {
 	// sensitive; hotpathalloc flags string-keyed counter maps only
 	// inside them.
 	HotPkgs []string
-	// MergePkgs lists the packages implementing the sharded fan-out/merge
-	// pipeline; shardmerge flags order-dependent merges only inside them.
+	// MergePkgs lists the packages implementing the fan-out/merge
+	// pipeline (the engine's cell pool and the replays it runs);
+	// shardmerge flags order-dependent merges only inside them.
 	MergePkgs []string
 	// HandleTypes lists the qualified names ("pkgpath.Type") of
 	// generation-tagged arena handle types; handlelife tracks their
@@ -98,8 +99,6 @@ func DefaultConfig(module string) Config {
 			p("internal/report") + ".Table.RenderCSV",
 			p("internal/engine") + ".Fan",
 			p("internal/engine") + ".FanWith",
-			p("internal/engine") + ".FanSharded",
-			p("internal/engine") + ".FanShardedWith",
 		},
 	}
 }

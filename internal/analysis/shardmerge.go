@@ -7,10 +7,10 @@ import (
 	"strings"
 )
 
-// ShardMerge guards the sharded-replay merge contract (DESIGN.md §10):
-// the fan-out/merge pipeline is byte-identical at every lane count only
-// because every cross-lane combination happens in a fixed, index-ordered
-// pass after the lanes drain. An accumulation performed *while* ranging
+// ShardMerge guards the fan-out/merge contract (DESIGN.md §3.1, §10):
+// the engine's cell pool is byte-identical at every worker count only
+// because every cross-cell combination happens in a fixed, index-ordered
+// pass after the workers drain. An accumulation performed *while* ranging
 // over a channel runs in delivery order — which is completion order,
 // i.e. scheduling — and one performed while ranging over a map runs in
 // Go's randomized iteration order. Both are invisible to single-run
@@ -31,7 +31,7 @@ import (
 // other two shapes are usually legitimate collection there, and a
 // deterministic consumer sorts afterwards). Integer accumulation is
 // deliberately exempt: uint64 addition commutes, which is exactly why
-// the sharded replay's per-lane counters may merge in any order.
+// the replay's per-stage counters may merge in any order.
 // Receivers are matched as plain identifiers only; selector chains such
 // as rc.done.Add(1) are bookkeeping on shared structs, not result
 // merges, and stay out of scope.

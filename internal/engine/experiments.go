@@ -245,13 +245,13 @@ var fig11Titles = map[sim.Figure]string{
 
 func runFig11(ctx context.Context, rc *RunContext, f sim.Figure) (*Result, error) {
 	profiles := tracedProfiles()
-	cells := make([]ShardedCell[sim.AccessRow], len(profiles))
+	cells := make([]Cell[sim.AccessRow], len(profiles))
 	for i, p := range profiles {
-		cells[i] = ShardedCell[sim.AccessRow]{
+		cells[i] = Cell[sim.AccessRow]{
 			Key: f.String() + "/" + p.Name,
-			Run: func(ctx context.Context, seed uint64, lanes int) (sim.AccessRow, error) {
+			Run: func(ctx context.Context, seed uint64) (sim.AccessRow, error) {
 				row, err := sim.RunFigure11(f, p, sim.AccessConfig{
-					Refs: rc.Refs, Seed: seed, Shards: lanes, Buf: sim.ReplayBufFrom(ctx),
+					Refs: rc.Refs, Seed: seed, Buf: sim.ReplayBufFrom(ctx),
 					MMU: rc.MMU(),
 				})
 				if err == nil {
@@ -261,7 +261,7 @@ func runFig11(ctx context.Context, rc *RunContext, f sim.Figure) (*Result, error
 			},
 		}
 	}
-	rows, err := FanSharded(ctx, rc, rc.Shards(), cells)
+	rows, err := Fan(ctx, rc, cells)
 	if err != nil {
 		return nil, err
 	}

@@ -13,9 +13,8 @@ import (
 // mapped, unmapped, promoted and demoted while references flow — where
 // every static figure replays a frozen snapshot. Each cell pairs one
 // churn profile with one workload snapshot and runs all four
-// organizations through sim.RunChurnCell; the per-org replays are
-// independent, so the cell spreads them over its shard lanes and the
-// merged series is identical at any (-workers, -shards). Every replay
+// organizations through sim.RunChurnCell, so the merged series is
+// identical at any -workers. Every replay
 // runs with the epoch-level differential oracle enabled: the rendered
 // rows double as a proof that all four organizations tracked the
 // plain-map reference model through the full mutation vocabulary.
@@ -33,12 +32,12 @@ var churnPairs = []struct {
 }
 
 func runChurn(ctx context.Context, rc *RunContext) (*Result, error) {
-	cells := make([]ShardedCell[[]sim.ChurnSeries], len(churnPairs))
+	cells := make([]Cell[[]sim.ChurnSeries], len(churnPairs))
 	for i, pair := range churnPairs {
 		pair := pair
-		cells[i] = ShardedCell[[]sim.ChurnSeries]{
+		cells[i] = Cell[[]sim.ChurnSeries]{
 			Key: fmt.Sprintf("churn/%s/%s", pair.profile, pair.workload),
-			Run: func(ctx context.Context, seed uint64, lanes int) ([]sim.ChurnSeries, error) {
+			Run: func(ctx context.Context, seed uint64) ([]sim.ChurnSeries, error) {
 				cp, ok := trace.ChurnProfileByName(pair.profile)
 				if !ok {
 					return nil, fmt.Errorf("churn: no profile %q", pair.profile)
@@ -49,11 +48,11 @@ func runChurn(ctx context.Context, rc *RunContext) (*Result, error) {
 				}
 				rc.CountRefs(uint64(refs) * 4)
 				cfg := sim.ChurnConfig{Refs: refs, Seed: seed, Check: true, MMU: rc.MMU()}
-				return sim.RunChurnCell(mustProfile(pair.workload), cp, cfg, lanes)
+				return sim.RunChurnCell(mustProfile(pair.workload), cp, cfg)
 			},
 		}
 	}
-	results, err := FanSharded(ctx, rc, rc.Shards(), cells)
+	results, err := Fan(ctx, rc, cells)
 	if err != nil {
 		return nil, err
 	}

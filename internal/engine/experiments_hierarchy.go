@@ -13,8 +13,8 @@ import (
 // under the three translation pipelines the -mmu flag selects: the
 // paper's flat single L1, L1 plus a 1024-entry unified L2 TLB, and
 // L1+L2 plus a 16-entry page-walk cache. One cell per (mode, workload)
-// pair; each cell is a full sharded Figure 11 replay, so the rendered
-// tables are byte-identical at any (-workers, -shards).
+// pair; each cell is a full Figure 11 replay, so the rendered tables
+// are byte-identical at any -workers.
 
 // hierarchyModes are the rendered pipeline configurations, in report
 // order (the -mmu flag spellings).
@@ -22,7 +22,7 @@ var hierarchyModes = []string{"flat", "l2", "l2+pwc"}
 
 func runHierarchy(ctx context.Context, rc *RunContext) (*Result, error) {
 	profiles := tracedProfiles()
-	cells := make([]ShardedCell[sim.AccessRow], 0, len(hierarchyModes)*len(profiles))
+	cells := make([]Cell[sim.AccessRow], 0, len(hierarchyModes)*len(profiles))
 	for _, mode := range hierarchyModes {
 		mcfg, err := sim.ParseMMU(mode)
 		if err != nil {
@@ -35,11 +35,11 @@ func runHierarchy(ctx context.Context, rc *RunContext) (*Result, error) {
 			// within a workload row only the hierarchy differs and the L1
 			// miss denominator is exactly equal across the three tables.
 			seed := trace.DeriveSeed(rc.Seed, "hierarchy/"+p.Name)
-			cells = append(cells, ShardedCell[sim.AccessRow]{
+			cells = append(cells, Cell[sim.AccessRow]{
 				Key: fmt.Sprintf("hierarchy/%s/%s", mode, p.Name),
-				Run: func(ctx context.Context, _ uint64, lanes int) (sim.AccessRow, error) {
+				Run: func(ctx context.Context, _ uint64) (sim.AccessRow, error) {
 					row, err := sim.RunFigure11(sim.Fig11a, p, sim.AccessConfig{
-						Refs: rc.Refs, Seed: seed, Shards: lanes, Buf: sim.ReplayBufFrom(ctx),
+						Refs: rc.Refs, Seed: seed, Buf: sim.ReplayBufFrom(ctx),
 						MMU: mcfg,
 					})
 					if err == nil {
@@ -50,7 +50,7 @@ func runHierarchy(ctx context.Context, rc *RunContext) (*Result, error) {
 			})
 		}
 	}
-	rows, err := FanSharded(ctx, rc, rc.Shards(), cells)
+	rows, err := Fan(ctx, rc, cells)
 	if err != nil {
 		return nil, err
 	}

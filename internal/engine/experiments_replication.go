@@ -14,10 +14,8 @@ import (
 // per organization? One cell per organization; each cell sweeps
 // replication factor {1,2,4,8} × write rate {0,2,10,30}% over the
 // identical eight per-node op streams, so within a rendered table only
-// the geometry differs between columns. The point replays are serial
-// and independent — lanes (and the -replicas live cap) only spread
-// them, so output is byte-identical across the whole
-// (-workers, -shards, -replicas) grid.
+// the geometry differs between columns. Each cell replays its points
+// serially, so output is byte-identical at any -workers.
 
 // replicationProfile fixes the workload: the factor × write-rate × org
 // grid is the story, so one representative trace keeps the cell count
@@ -32,15 +30,15 @@ func runReplication(ctx context.Context, rc *RunContext) (*Result, error) {
 	if pointOps < 1 {
 		pointOps = 1
 	}
-	cells := make([]ShardedCell[sim.ReplicationRow], len(orgs))
+	cells := make([]Cell[sim.ReplicationRow], len(orgs))
 	for i, org := range orgs {
 		org := org
-		cells[i] = ShardedCell[sim.ReplicationRow]{
+		cells[i] = Cell[sim.ReplicationRow]{
 			Key: "replication/" + org.Name,
-			Run: func(ctx context.Context, seed uint64, lanes int) (sim.ReplicationRow, error) {
+			Run: func(ctx context.Context, seed uint64) (sim.ReplicationRow, error) {
 				row, err := sim.RunReplicationCell(p, org, sim.ReplicationConfig{
-					Ops: pointOps, Seed: seed, MaxLive: rc.ReplicaCap(),
-				}, lanes)
+					Ops: pointOps, Seed: seed,
+				})
 				if err == nil {
 					rc.CountRefs(uint64(len(row.Points)) * uint64(pointOps))
 				}
@@ -48,7 +46,7 @@ func runReplication(ctx context.Context, rc *RunContext) (*Result, error) {
 			},
 		}
 	}
-	rows, err := FanSharded(ctx, rc, rc.Shards(), cells)
+	rows, err := Fan(ctx, rc, cells)
 	if err != nil {
 		return nil, err
 	}

@@ -13,8 +13,8 @@ import (
 // level below it is a memory-resident structure whose probe touches
 // cache lines whether it hits or misses. Both costs are fixed per level
 // (a set-associative probe reads the same set either way), which is
-// what lets the sharded replay charge them with pure arithmetic in any
-// lane.
+// what lets the Figure 11 replay's walk stage charge them with pure
+// arithmetic.
 type LevelSpec struct {
 	Level Level
 	// HitCost is charged when this level satisfies a lookup.

@@ -10,11 +10,10 @@ import (
 
 // Shared serializes a Hierarchy for concurrent callers. Like the TLB
 // models it composes, a Hierarchy mutates replacement state on every
-// Access, so reads need the same serialization as writes; Shared is the
-// hierarchy analogue of tlb.Locked. Translate bundles the common
-// service pattern — probe, and fill on a miss — under one critical
-// section so two racing misses for the same page cannot interleave
-// their probe and fill.
+// Access, so reads need the same serialization as writes. Translate
+// bundles the common service pattern — probe, and fill on a miss —
+// under one critical section so two racing misses for the same page
+// cannot interleave their probe and fill.
 type Shared struct {
 	mu sync.Mutex
 	// h's model state (per-level LRU, MRU filters, walk-cache tags,

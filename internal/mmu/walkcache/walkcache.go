@@ -51,7 +51,7 @@ func (c *Config) fill() error {
 // the TLB models, it is single-threaded with strictly deterministic
 // victim selection (first invalid slot in index order, else the oldest
 // LRU tick): replayed in stream order it always evicts the same
-// entries, so sharded and serial replays agree byte for byte.
+// entries, so the staged and reference replays agree byte for byte.
 type PWC struct {
 	cfg   Config
 	upper pagetable.UpperWalker
@@ -93,7 +93,8 @@ func MustNew(cfg Config, upper pagetable.UpperWalker) *PWC {
 func (p *PWC) Name() string { return "pwc" }
 
 // UpperLines returns the hoisted constant line count a hit elides —
-// sharded lanes apply it with ElideLines instead of re-filtering.
+// the replay's walk stage applies it with ElideLines instead of
+// re-filtering.
 func (p *PWC) UpperLines() int { return p.upper.UpperWalkCost(0).Lines }
 
 // Probe looks up the upper-walk node covering vpn, filling the cache

@@ -137,8 +137,8 @@ type PartialMapper interface {
 type UpperWalker interface {
 	// UpperWalkCost returns the cost of the upper-level portion of a
 	// walk to vpn. It is a constant of the table's configuration for
-	// every table in this repository, which is what lets sharded replay
-	// lanes apply it as pure arithmetic.
+	// every table in this repository, which is what lets the Figure 11
+	// replay's walk stage apply it as pure arithmetic.
 	UpperWalkCost(vpn addr.VPN) WalkCost
 }
 

@@ -78,12 +78,6 @@ type AccessConfig struct {
 	// Buf, when set, is the reusable chunk buffer replay fills; the
 	// engine passes each worker's. Nil allocates per run.
 	Buf *ReplayBuf
-	// Shards is the intra-cell lane budget: 0 or 1 runs the replay
-	// stages (shard.go) inline on the calling goroutine, k > 1 fans
-	// them out across k goroutine lanes. Results are byte-identical at
-	// every value — the stages are an exact functional decomposition
-	// of the per-reference replay, not an approximation (DESIGN.md §10).
-	Shards int
 	// ScanTLB runs the simulated TLBs in linear-scan reference mode
 	// (tlb.Config.Scan) — results are identical, only speed differs. It
 	// exists for the before/after replay benchmarks.
@@ -173,7 +167,7 @@ func runFigure11(f Figure, p trace.Profile, cfg AccessConfig, run processReplay)
 
 // figureState is one process's simulation state: the variant page
 // tables, the reference TLB, and the linear variants' TLB pairs. The
-// replay stages (shard.go) and the unmemoized reference loop the tests
+// replay stages (fig11.go) and the unmemoized reference loop the tests
 // keep build it identically; only the loop structure around it differs.
 type figureState struct {
 	variants []TableVariant
@@ -190,8 +184,7 @@ type figureState struct {
 	// variant-independent, so one level models all of them — and
 	// pwcs[pwcIdx] is the page-walk cache of the single tree-walked
 	// variant. Both evolve only on the driver's stream-ordered miss
-	// path, which is what keeps the replay deterministic at every lane
-	// count.
+	// path; the walk stage reads their outcomes from the miss records.
 	l2       *swtlb.Cache
 	pwcs     []*walkcache.PWC
 	pwcIdx   int
@@ -260,8 +253,8 @@ func newFigureState(f Figure, variants []TableVariant, snap trace.ProcessSnapsho
 	// Linear page tables run their own, smaller TLB plus the reserved
 	// page-table-mapping entries (§6.1). Under a multi-level MMU each
 	// carries its own L2 slice and nested-walk cache: its L1 stream
-	// differs from the reference TLB's, so sharing the driver's levels
-	// would entangle the lanes.
+	// differs from the reference TLB's, so it cannot share the
+	// driver's levels.
 	for i, v := range st.variants {
 		if v.ReservedTLB == 0 {
 			continue

@@ -1,7 +1,7 @@
 package sim
 
 // End-to-end benchmarks for the translation hierarchy: the full Figure
-// 11a replay under each -mmu pipeline, at one lane and four. flat is the
+// 11a replay under each -mmu pipeline. flat is the
 // pre-hierarchy baseline (and must stay within noise of
 // BenchmarkFigure11Replay/e64/indexed — the hierarchy plumbing is free
 // when unconfigured); l2 adds the per-miss L2 probe and its insert
@@ -10,7 +10,6 @@ package sim
 // micro-benchmarks into BENCH_mmu.json.
 
 import (
-	"fmt"
 	"testing"
 
 	"clusterpt/internal/trace"
@@ -26,17 +25,15 @@ func BenchmarkFigure11Hierarchy(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, shards := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s/s%d", mode, shards), func(b *testing.B) {
-				cfg := AccessConfig{Refs: 400_000, Seed: 1, Shards: shards, Buf: &ReplayBuf{}, MMU: mcfg}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := RunFigure11(Fig11a, p, cfg); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(mode, func(b *testing.B) {
+			cfg := AccessConfig{Refs: 400_000, Seed: 1, Buf: &ReplayBuf{}, MMU: mcfg}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunFigure11(Fig11a, p, cfg); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

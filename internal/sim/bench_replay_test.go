@@ -45,57 +45,24 @@ func BenchmarkFigure11Replay(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure11Sharded measures the replay stages at lane counts 1
-// through 8 on the same Figure 11a run as Figure11Replay/e64/indexed. s1
-// runs the driver, walk and linear stages inline on one goroutine; s2+
-// fan them out over goroutine lanes. The walk stage's per-page memo
-// gives the gain over a per-miss walk at every lane count; further
-// lanes add only parallelism.
-func BenchmarkFigure11Sharded(b *testing.B) {
-	p, ok := trace.ProfileByName("gcc")
-	if !ok {
-		b.Fatal("no gcc profile")
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("s%d", shards), func(b *testing.B) {
-			cfg := AccessConfig{Refs: 400_000, Seed: 1, Shards: shards, Buf: &ReplayBuf{}}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := RunFigure11(Fig11a, p, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkFigure11Prefetch measures Figure 11d, the complete-subblock
 // TLB with block prefetch (§4.4): every block miss gathers the whole
 // block from the clustered table (whose gather also refills the
 // reference TLB) and the linear table, and charges the other variants'
 // memoized block gathers, so it times the block-gather and block-fill
-// paths the Figure 11a benchmarks above never reach. serial is one
-// lane, s4 the fanned-out stages.
+// paths the Figure 11a benchmarks above never reach.
 func BenchmarkFigure11Prefetch(b *testing.B) {
 	p, ok := trace.ProfileByName("gcc")
 	if !ok {
 		b.Fatal("no gcc profile")
 	}
-	for _, lanes := range []struct {
-		name   string
-		shards int
-	}{{"serial", 1}, {"s4", 4}} {
-		b.Run(lanes.name, func(b *testing.B) {
-			cfg := AccessConfig{Refs: 400_000, Seed: 1, Shards: lanes.shards, Buf: &ReplayBuf{}}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := RunFigure11(Fig11d, p, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	cfg := AccessConfig{Refs: 400_000, Seed: 1, Buf: &ReplayBuf{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunFigure11(Fig11d, p, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -2,8 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"clusterpt/internal/addr"
 	"clusterpt/internal/memcost"
@@ -245,9 +243,9 @@ func (m *churnMachine) apply(op trace.ChurnOp) error {
 
 // sweepCounts is one oracle/coverage sweep's tally.
 type sweepCounts struct {
-	mapped  uint64
-	sp      uint64
-	psb     uint64
+	mapped uint64
+	sp     uint64
+	psb    uint64
 }
 
 // sweep walks every page of every VMA in layout order, counting
@@ -384,38 +382,15 @@ func RunChurn(p trace.Profile, cp trace.ChurnProfile, v TableVariant, cfg ChurnC
 }
 
 // RunChurnCell replays one (workload, churn profile) pair against every
-// organization, spreading the independent per-org replays over lanes
-// goroutines. Each replay is fully self-contained (own stream instance,
-// allocator, model, TLB, all derived from the same seed), so results
-// merge by org index and are identical at any lane count.
-func RunChurnCell(p trace.Profile, cp trace.ChurnProfile, cfg ChurnConfig, lanes int) ([]ChurnSeries, error) {
+// organization in turn. Each replay is fully self-contained (own stream
+// instance, allocator, model, TLB, all derived from the same seed), and
+// the series come back in org order.
+func RunChurnCell(p trace.Profile, cp trace.ChurnProfile, cfg ChurnConfig) ([]ChurnSeries, error) {
 	orgs := ChurnVariants()
-	if lanes > len(orgs) {
-		lanes = len(orgs)
-	}
-	if lanes < 1 {
-		lanes = 1
-	}
 	out := make([]ChurnSeries, len(orgs))
-	errs := make([]error, len(orgs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for l := 0; l < lanes; l++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(orgs) {
-					return
-				}
-				out[i], errs[i] = RunChurn(p, cp, orgs[i], cfg)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	for i, v := range orgs {
+		var err error
+		if out[i], err = RunChurn(p, cp, v, cfg); err != nil {
 			return nil, err
 		}
 	}

@@ -1,7 +1,7 @@
 package sim
 
 // The Figure 11 replay: one process's reference stream decomposed into
-// three stages that produce byte-identical results at every lane count.
+// three stages run chunk by chunk on the calling goroutine.
 //
 // Per reference, the replay interleaves three independent machines: (1)
 // the reference TLB plus its canonical refill, (2) the read-only
@@ -14,32 +14,24 @@ package sim
 //   - The driver generates the reference stream in chunks, runs the
 //     reference TLB over every reference in stream order, walks the
 //     canonical (clustered) table live on each miss — one walk supplies
-//     both the refill and the clustered class's lines — and records
-//     each miss.
-//   - The linear stage consumes the chunks in stream order and runs
-//     every linear variant's TLB-pair state machine with live lookups.
-//   - The walk stage consumes the per-chunk miss records and charges
-//     the other variants' walk costs, memoized per page (and per block
-//     under Figure 11d) in a dense costMemo. Any assignment of misses
-//     to walk lanes yields the same totals because each miss
-//     contributes a pure per-page cost exactly once and uint64 sums
-//     over disjoint subsets commute.
+//     both the refill and the clustered class's lines — and hands each
+//     miss record to the walk stage.
+//   - The walk stage charges the other variants' walk costs, memoized
+//     per page (and per block under Figure 11d) in a dense costMemo.
+//   - The linear stage then runs every linear variant's TLB-pair state
+//     machine over the same chunk with live lookups.
 //
-// At one lane the three stages run inline, chunk by chunk, on the
-// calling goroutine; at more lanes they fan out over channels. The
-// merge is index-ordered and exact — no atomics on the hot path, no
-// order-dependent reduction. The page tables' internal operation
+// Parallelism lives one level up: the engine fans processes and
+// workloads over its cell pool. The page tables' internal operation
 // Counters are the only observable difference from a per-reference
 // loop: memoized walks count once per page instead of once per miss,
 // and no rendered figure reads them. DESIGN.md §10 states the full
-// contract; refmodel_test.go pins every lane count to the unmemoized
+// contract; refmodel_test.go pins the replay to the unmemoized
 // reference loop field by field.
 
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"clusterpt/internal/addr"
 	"clusterpt/internal/linear"
@@ -51,7 +43,7 @@ import (
 )
 
 // runProcess replays one process's trace through the figure's TLBs and
-// page tables over cfg.Shards lanes (inline at one).
+// page tables.
 func runProcess(f Figure, snap trace.ProcessSnapshot, refs int, cfg AccessConfig) (lineCounts, uint64, uint64, error) {
 	st, err := newFigureState(f, f.Variants(), snap, cfg)
 	if err != nil {
@@ -59,47 +51,31 @@ func runProcess(f Figure, snap trace.ProcessSnapshot, refs int, cfg AccessConfig
 	}
 	gen := trace.NewGenerator(snap, cfg.Seed*31+1)
 	d := newDriver(f, st)
+	w := newWalkLane(st)
+	w.memo = cfg.Buf.takeMemo(snap, len(w.walked), f == Fig11d)
 	ll := &linLane{f: f, lins: st.lins}
-	// Up to two lanes the driver runs the walk stage itself; beyond
-	// that every further lane is a walk lane.
-	walkers := make([]*walkLane, max(cfg.Shards-2, 1))
-	for i := range walkers {
-		walkers[i] = newWalkLane(st)
-		walkers[i].memo = cfg.Buf.takeMemo(snap, len(walkers[i].walked), f == Fig11d)
-	}
-	if cfg.Shards <= 1 {
-		err = replayInline(gen, cfg.Buf, refs, d, walkers[0], ll)
-	} else {
-		err = replayFanned(gen, cfg.Buf, refs, d, walkers, ll, cfg.Shards)
-	}
-	for _, w := range walkers {
-		cfg.Buf.putMemo(w.memo)
-	}
-	if err != nil {
+	if err := replayInline(gen, cfg.Buf, refs, d, w, ll); err != nil {
 		return lineCounts{}, 0, 0, err
 	}
 
-	// Index-ordered exact merge: plain uint64 adds over disjoint
-	// accumulators, in a fixed stage order.
+	// Exact merge: plain uint64 adds over disjoint accumulators, in a
+	// fixed stage order.
 	var lines lineCounts
 	lines.add(&d.lines)
 	lines.add(&ll.lines)
-	for _, w := range walkers {
-		lines.add(&w.lines)
-	}
+	lines.add(&w.lines)
 	return lines, d.misses, ll.nested, nil
 }
 
-// Miss records ride in the same []addr.V buffers as references so both
-// come from the ReplayBuf free list. The generator 8-aligns every
-// address, so bits 0-2 are free to carry the bits the walk stage needs:
-// whether a Fig11d miss was a full-block miss (prefetch walk) rather
-// than a subblock miss (single-page walk), whether the L2 TLB serviced
-// the miss (no walk at all, only the probe line), and whether the
-// page-walk cache hit (the tree-walked variant's upper levels elide).
+// A miss record is the missing address itself. The generator 8-aligns
+// every address, so bits 0-2 are free to carry the bits the walk stage
+// needs: whether a Fig11d miss was a full-block miss (prefetch walk)
+// rather than a subblock miss (single-page walk), whether the L2 TLB
+// serviced the miss (no walk at all, only the probe line), and whether
+// the page-walk cache hit (the tree-walked variant's upper levels
+// elide).
 // The stateful L2 and PWC evolve only on the driver, in stream order;
-// the walk stage turns these bits into pure per-record arithmetic, so
-// lane assignment still cannot affect the totals.
+// the walk stage turns these bits into pure per-record arithmetic.
 const (
 	missBlockBit  = 1
 	missL2HitBit  = 2
@@ -134,27 +110,23 @@ func newDriver(f Figure, st *figureState) *driver {
 	}
 }
 
-// run probes the reference TLB with one chunk in stream order. When
-// the driver runs the walk stage itself, w accounts each miss record
-// at once; otherwise (w nil) the records are appended to miss for the
-// walk lanes.
-func (d *driver) run(vas, miss []addr.V, w *walkLane) ([]addr.V, error) {
+// run probes the reference TLB with one chunk in stream order and has
+// w account each miss record at once.
+func (d *driver) run(vas []addr.V, w *walkLane) error {
 	for _, va := range vas {
 		res := d.st.refTLB.Access(va)
 		if res.Hit {
 			continue
 		}
 		rec, err := d.miss(va, res)
-		if err == nil && w != nil {
+		if err == nil {
 			err = w.account(rec)
-		} else if err == nil {
-			miss = append(miss, rec)
 		}
 		if err != nil {
-			return miss, err
+			return err
 		}
 	}
-	return miss, nil
+	return nil
 }
 
 // miss services one reference-TLB miss: under a multi-level MMU it
@@ -291,10 +263,9 @@ func (m *costMemo) slot(vpn addr.VPN, block bool) []uint16 {
 }
 
 // walkLane charges the walks of the variants the driver does not walk
-// (every non-canonical, non-linear one) for a stream of miss records.
-// Each lane keeps a private memo and a private accumulator; because the
-// cost is a pure function of the page, the merged totals are
-// independent of which lane sees which miss.
+// (every non-canonical, non-linear one) for a stream of miss records,
+// from a memo of per-page costs: the cost is a pure function of the
+// page over immutable tables.
 type walkLane struct {
 	// walked indexes the walked variants in st.variants; a memo cell
 	// holds their line counts in this order.
@@ -337,16 +308,6 @@ func newWalkLane(st *figureState) *walkLane {
 	}
 	w.cur = make([]uint32, len(w.walked))
 	return w
-}
-
-// run accounts one chunk's misses.
-func (w *walkLane) run(miss []addr.V) error {
-	for _, rec := range miss {
-		if err := w.account(rec); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // account charges one miss record.
@@ -434,7 +395,7 @@ func (w *walkLane) walk(i int, va addr.V, block bool) (int, error) {
 }
 
 // linLane runs every linear variant's TLB-pair state machine over the
-// reference stream, in stream order, on one goroutine (§6.1): a main
+// reference stream, in stream order (§6.1): a main
 // TLB shrunk by the reserved entries plus a small TLB caching mappings
 // to the page-table pages themselves.
 type linLane struct {
@@ -524,162 +485,20 @@ func (l *linLane) service(ls *linState, va addr.V) error {
 }
 
 // replayInline runs the three stages chunk by chunk on the calling
-// goroutine, with no channels: the one-lane schedule.
+// goroutine.
 func replayInline(gen *trace.Generator, buf *ReplayBuf, refs int, d *driver, w *walkLane, ll *linLane) error {
 	vas := buf.take(replayChunk)
 	defer func() { buf.put(vas) }()
 	for refs > 0 {
 		n := min(replayChunk, refs)
 		vas = gen.Fill(vas, n)
-		if _, err := d.run(vas, nil, w); err != nil {
+		if err := d.run(vas, w); err != nil {
 			return err
 		}
 		if err := ll.run(vas); err != nil {
 			return err
 		}
 		refs -= n
-	}
-	return nil
-}
-
-// shardChunk is one replay chunk in flight: the references, the packed
-// miss records the driver extracted from them for the walk lanes (none
-// when the driver accounts them itself), and the number of lanes still
-// to consume the chunk before it can be recycled.
-type shardChunk struct {
-	vas     []addr.V
-	miss    []addr.V
-	pending atomic.Int32
-}
-
-// releaseChunk returns the chunk to the recycle channel once its last
-// consumer is done with it.
-func releaseChunk(c *shardChunk, recycle chan<- *shardChunk) {
-	if c.pending.Add(-1) == 0 {
-		recycle <- c
-	}
-}
-
-// replayFanned is the fan-out/merge schedule. lanes is the total
-// goroutine budget (>= 2): one driver (the calling goroutine), one
-// linear lane, and lanes-2 walk lanes; at lanes == 2 the driver runs
-// walkers[0] inline between generating chunks. Chunk buffers cycle
-// through buf's free list, so the steady state allocates nothing.
-func replayFanned(gen *trace.Generator, buf *ReplayBuf, refs int, d *driver, walkers []*walkLane, ll *linLane, lanes int) error {
-	nWalk := lanes - 2
-	// Enough chunks that no lane starves while others work, few enough
-	// to stay cache-friendly; the channels hold every chunk at once, so
-	// no send can block and the pipeline cannot deadlock.
-	inflight := lanes + 2
-
-	linCh := make(chan *shardChunk, inflight)
-	walkCh := make(chan *shardChunk, inflight)
-	recycle := make(chan *shardChunk, inflight)
-
-	// Lane errors are recorded per lane and merged in fixed lane order,
-	// so the reported error does not depend on goroutine timing. (Errors
-	// only occur if a built table loses a mapping — a bug — but even
-	// then the run must fail deterministically.)
-	laneErrs := make([]error, 2+nWalk)
-	var errMu sync.Mutex
-	var failed atomic.Bool
-	setErr := func(lane int, err error) {
-		errMu.Lock()
-		if laneErrs[lane] == nil {
-			laneErrs[lane] = err
-		}
-		errMu.Unlock()
-		failed.Store(true)
-	}
-
-	consumers := int32(2)
-	var inline *walkLane
-	if nWalk == 0 {
-		consumers = 1
-		inline = walkers[0]
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for c := range linCh {
-			if !failed.Load() {
-				if err := ll.run(c.vas); err != nil {
-					setErr(1, err)
-				}
-			}
-			releaseChunk(c, recycle)
-		}
-	}()
-	for wi := 0; wi < nWalk; wi++ {
-		wg.Add(1)
-		go func(wi int, wk *walkLane) {
-			defer wg.Done()
-			for c := range walkCh {
-				if !failed.Load() {
-					if err := wk.run(c.miss); err != nil {
-						setErr(2+wi, err)
-					}
-				}
-				releaseChunk(c, recycle)
-			}
-		}(wi, walkers[wi])
-	}
-
-	var chunks []*shardChunk
-	nextChunk := func() *shardChunk {
-		select {
-		case c := <-recycle:
-			return c
-		default:
-		}
-		if len(chunks) < inflight {
-			c := &shardChunk{vas: buf.take(replayChunk)}
-			if nWalk > 0 {
-				c.miss = buf.take(replayChunk)
-			}
-			chunks = append(chunks, c)
-			return c
-		}
-		return <-recycle
-	}
-
-	remaining := refs
-	for remaining > 0 && !failed.Load() {
-		c := nextChunk()
-		n := min(replayChunk, remaining)
-		c.vas = gen.Fill(c.vas, n)
-		var derr error
-		if c.miss, derr = d.run(c.vas, c.miss[:0], inline); derr != nil {
-			setErr(0, derr)
-			recycle <- c // never handed to a lane; recycle it directly
-			break
-		}
-		c.pending.Store(consumers)
-		if nWalk > 0 {
-			walkCh <- c
-		}
-		linCh <- c
-		remaining -= n
-	}
-	close(linCh)
-	close(walkCh)
-	wg.Wait()
-
-	// Every chunk is back in recycle now — the lanes have drained their
-	// channels and each chunk's last consumer pushed it. Return the
-	// buffers to the free list for the worker's next cell.
-	for range chunks {
-		c := <-recycle
-		buf.put(c.vas)
-		buf.put(c.miss)
-	}
-
-	for _, e := range laneErrs {
-		if e != nil {
-			return e
-		}
 	}
 	return nil
 }

@@ -1,11 +1,11 @@
 package sim
 
-// Identity tests for the Figure 11 replay stages: every lane count must
+// Oracle tests for the Figure 11 replay stages: the replay must
 // reproduce the unmemoized reference loop (refmodel_test.go) field for
 // field — same misses, same nested count, same per-variant average
-// lines to the last bit. The shard/merge contract (DESIGN.md §10)
-// promises exact functional decomposition, so these tests compare with
-// ==, never with tolerances.
+// lines to the last bit. The stage contract (DESIGN.md §10) promises
+// exact functional decomposition, so these tests compare with ==,
+// never with tolerances.
 
 import (
 	"fmt"
@@ -32,16 +32,15 @@ func figureRowsEqual(t *testing.T, label string, got, want AccessRow) {
 	}
 }
 
-// TestFigure11ShardIdentity is the acceptance gate for the replay
+// TestFigure11MatchesReference is the acceptance gate for the replay
 // stages: for two workloads (gcc: multi-process, mixed patterns; mp3d:
-// single-process) and all four figures, the row at lane counts 1, 2, 4,
-// and 8 equals the reference loop's row exactly. Shards=1 runs the
-// stages inline, 2 fans out the linear stage, 4 and 8 add walk lanes.
-// The line-size axis adds 64 and 128-byte lines, where a clustered
-// node's header and mapping word can fall on different lines (§6.3):
-// both the driver and the reference loop refill the TLB from the
-// clustered walk they charge, so both must agree at every geometry.
-func TestFigure11ShardIdentity(t *testing.T) {
+// single-process) and all four figures, the replay's row equals the
+// reference loop's row exactly. The line-size axis adds 64 and
+// 128-byte lines, where a clustered node's header and mapping word can
+// fall on different lines (§6.3): both the driver and the reference
+// loop refill the TLB from the clustered walk they charge, so both must
+// agree at every geometry.
+func TestFigure11MatchesReference(t *testing.T) {
 	for _, name := range []string{"gcc", "mp3d"} {
 		p, ok := trace.ProfileByName(name)
 		if !ok {
@@ -54,15 +53,11 @@ func TestFigure11ShardIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, shards := range []int{1, 2, 4, 8} {
-					row, err := RunFigure11(f, p, AccessConfig{
-						Refs: 50_000, LineModel: model, Shards: shards, Buf: &ReplayBuf{},
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					figureRowsEqual(t, fmt.Sprintf("%s/line=%d/%v/shards=%d", name, lineSize, f, shards), row, ref)
+				row, err := RunFigure11(f, p, AccessConfig{Refs: 50_000, LineModel: model, Buf: &ReplayBuf{}})
+				if err != nil {
+					t.Fatal(err)
 				}
+				figureRowsEqual(t, fmt.Sprintf("%s/line=%d/%v", name, lineSize, f), row, ref)
 			}
 		}
 	}
@@ -93,12 +88,12 @@ func TestNewFigureStateNeedsClustered(t *testing.T) {
 	}
 }
 
-// TestFigure11ShardIdentityTinyRefs drives the zero-reference-cell edge:
-// with a tiny total budget, RefShare rounds some of gcc's processes down
-// to zero references, and the remaining stream is shorter than one chunk
-// and not divisible by the lane count. Every lane count must still match
-// the reference loop.
-func TestFigure11ShardIdentityTinyRefs(t *testing.T) {
+// TestFigure11MatchesReferenceTinyRefs drives the zero-reference-cell
+// edge: with a tiny total budget, RefShare rounds some of gcc's
+// processes down to zero references, and the remaining stream is
+// shorter than one chunk. The replay must still match the reference
+// loop.
+func TestFigure11MatchesReferenceTinyRefs(t *testing.T) {
 	p, ok := trace.ProfileByName("gcc")
 	if !ok {
 		t.Fatal("no gcc profile")
@@ -117,22 +112,20 @@ func TestFigure11ShardIdentityTinyRefs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 2, 8} {
-		row, err := RunFigure11(Fig11a, p, AccessConfig{Refs: refs, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		figureRowsEqual(t, fmt.Sprintf("tiny/shards=%d", shards), row, ref)
+	row, err := RunFigure11(Fig11a, p, AccessConfig{Refs: refs})
+	if err != nil {
+		t.Fatal(err)
 	}
+	figureRowsEqual(t, "tiny", row, ref)
 }
 
-// TestFigure11ShardIdentityMMU extends the identity gate to the
+// TestFigure11MatchesReferenceMMU extends the oracle gate to the
 // multi-level hierarchies: the L2 TLB and page-walk cache are stateful,
 // but they evolve only on stream-ordered stages (driver for the shared
 // levels, linear stage for the per-variant ones) while the walk stage
-// consumes their outcomes as record bits, so every lane count must
-// still reproduce the reference loop exactly under -mmu l2 and l2+pwc.
-func TestFigure11ShardIdentityMMU(t *testing.T) {
+// consumes their outcomes as record bits, so the replay must still
+// reproduce the reference loop exactly under -mmu l2 and l2+pwc.
+func TestFigure11MatchesReferenceMMU(t *testing.T) {
 	p, ok := trace.ProfileByName("gcc")
 	if !ok {
 		t.Fatal("no gcc profile")
@@ -147,15 +140,11 @@ func TestFigure11ShardIdentityMMU(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, shards := range []int{1, 2, 4, 8} {
-				row, err := RunFigure11(f, p, AccessConfig{
-					Refs: 30_000, Shards: shards, MMU: mmuCfg, Buf: &ReplayBuf{},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				figureRowsEqual(t, fmt.Sprintf("mmu=%s/%v/shards=%d", spec, f, shards), row, ref)
+			row, err := RunFigure11(f, p, AccessConfig{Refs: 30_000, MMU: mmuCfg, Buf: &ReplayBuf{}})
+			if err != nil {
+				t.Fatal(err)
 			}
+			figureRowsEqual(t, fmt.Sprintf("mmu=%s/%v", spec, f), row, ref)
 		}
 	}
 }
@@ -223,30 +212,9 @@ func TestFigure11MMUReducesWalks(t *testing.T) {
 }
 
 // TestReplayBufShardedSteadyStateAllocs pins that a warmed ReplayBuf
-// serves both replay schedules without allocating. The fanned-out one
-// keeps several chunks live at once, taken at mixed sizes and returned
-// in arbitrary order; the free list must retain every grown buffer.
-// The one-lane schedule reuses a chunk pair and the walk stage's cost
-// memo: a whole inline replay over warmed stages allocates nothing.
+// serves the replay without allocating: a whole replay over warmed
+// stages reuses the buffer's chunk and the walk stage's cost memo.
 func TestReplayBufShardedSteadyStateAllocs(t *testing.T) {
-	t.Run("fanned", func(t *testing.T) {
-		buf := &ReplayBuf{}
-		cycle := func() {
-			a := buf.take(replayChunk)
-			b := buf.take(replayChunk / 4)
-			c := buf.take(replayChunk)
-			d := buf.take(replayChunk / 2)
-			a = append(a[:0], 1)
-			buf.put(c)
-			buf.put(a)
-			buf.put(d)
-			buf.put(b)
-		}
-		cycle() // warm: populate the free list with grown buffers
-		if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
-			t.Fatalf("warmed ReplayBuf allocates %v times per cycle", allocs)
-		}
-	})
 	t.Run("one-lane", func(t *testing.T) {
 		p, ok := trace.ProfileByName("mp3d")
 		if !ok {
@@ -270,11 +238,10 @@ func TestReplayBufShardedSteadyStateAllocs(t *testing.T) {
 				if err := replayInline(gen, buf, 2*replayChunk, d, w, ll); err != nil {
 					t.Fatal(err)
 				}
-				buf.putMemo(w.memo)
 			}
-			cycle() // warm: chunk pair, memo slab, gather buffers
+			cycle() // warm: chunk, memo slab, gather buffers
 			if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
-				t.Fatalf("%v: warmed one-lane replay allocates %v times per cycle", f, allocs)
+				t.Fatalf("%v: warmed replay allocates %v times per cycle", f, allocs)
 			}
 		}
 	})

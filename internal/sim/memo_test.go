@@ -186,7 +186,7 @@ func TestWalkLaneMemo(t *testing.T) {
 	if err := w.cost(outside | missBlockBit); err == nil || !strings.Contains(err.Error(), "lost block") {
 		t.Errorf("block outside every region: err %v, want a lost block error", err)
 	}
-	if err := w.run([]addr.V{outside}); err == nil || !strings.Contains(err.Error(), "lost vpn") {
-		t.Errorf("run over a record outside every region: err %v, want a lost vpn error", err)
+	if err := w.account(outside); err == nil || !strings.Contains(err.Error(), "lost vpn") {
+		t.Errorf("account of a record outside every region: err %v, want a lost vpn error", err)
 	}
 }

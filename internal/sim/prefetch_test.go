@@ -128,7 +128,6 @@ func TestFig11dBlockMissZeroAlloc(t *testing.T) {
 			d := newDriver(Fig11d, st)
 			w := newWalkLane(st)
 			w.memo = (*ReplayBuf)(nil).takeMemo(snap, len(w.walked), true)
-			recs := make([]addr.V, 1)
 			cycle := func() {
 				w.memo.reset(snap, len(w.walked), true)
 				for _, vpbn := range blocks {
@@ -137,8 +136,7 @@ func TestFig11dBlockMissZeroAlloc(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					recs[0] = rec
-					if err := w.run(recs); err != nil {
+					if err := w.account(rec); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -19,80 +19,46 @@ import (
 // amortize loop setup, small enough to stay cache-resident (32KB).
 const replayChunk = 4096
 
-// ReplayBuf is a reusable chunk-buffer free list for the replay loops.
-// The engine hands each worker one, so a worker's cells share chunk
+// ReplayBuf holds one reusable replay chunk and one walk-cost memo.
+// The engine hands each worker one, so a worker's cells share those
 // allocations for the whole run; a nil *ReplayBuf still works and
-// allocates per replay.
-//
-// It is a free list rather than a single slot because the fanned-out
-// Figure 11 replay keeps several chunks in flight at once (reference
-// and miss buffers per stage), and because take used to
-// discard a grown backing array whenever a later caller asked for a
-// different chunk size — every buffer returned through put stays
-// available for any subsequent take it can satisfy. It also keeps the
-// Figure 11 walk stage's cost memos, so a worker's cells reuse one
-// memo slab per walk lane. Not safe for concurrent use: only the
-// replay's driver goroutine touches it.
+// allocates per replay. Every replay has exactly one chunk in flight,
+// so one slot suffices. Not safe for concurrent use.
 type ReplayBuf struct {
-	free  [][]addr.V
-	memos []*costMemo
+	chunk []addr.V
+	memo  costMemo
 }
 
-// take returns an empty chunk with capacity at least n, reusing the
-// largest-capacity free buffer that satisfies the request and
-// allocating only when none does.
+// take returns an empty chunk with capacity at least n: the held chunk
+// when it is large enough, else a fresh one.
 func (b *ReplayBuf) take(n int) []addr.V {
-	if b == nil {
+	if b == nil || cap(b.chunk) < n {
 		return make([]addr.V, 0, n)
 	}
-	best := -1
-	for i, s := range b.free {
-		if cap(s) < n {
-			continue
-		}
-		if best < 0 || cap(s) > cap(b.free[best]) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return make([]addr.V, 0, n)
-	}
-	s := b.free[best]
-	last := len(b.free) - 1
-	b.free[best] = b.free[last]
-	b.free = b.free[:last]
-	return s[:0]
+	s := b.chunk[:0]
+	b.chunk = nil
+	return s
 }
 
-// put returns a chunk to the free list for later takes. Zero-capacity
-// slices are dropped; everything else is retained regardless of the
-// size it was taken at, so growth is never thrown away.
+// put hands a chunk back for later takes, keeping the larger of it and
+// the held one, so growth is never thrown away.
 func (b *ReplayBuf) put(s []addr.V) {
-	if b == nil || cap(s) == 0 {
-		return
+	if b != nil && cap(s) > cap(b.chunk) {
+		b.chunk = s
 	}
-	b.free = append(b.free, s)
 }
 
-// takeMemo returns a cleared walk-cost memo sized for snap (see
-// costMemo.reset), reusing a returned memo's storage when one is free.
+// takeMemo returns the walk-cost memo cleared and sized for snap (see
+// costMemo.reset), reusing the held memo's storage.
 func (b *ReplayBuf) takeMemo(snap trace.ProcessSnapshot, stride int, blocks bool) *costMemo {
 	var m *costMemo
-	if b != nil && len(b.memos) > 0 {
-		m = b.memos[len(b.memos)-1]
-		b.memos = b.memos[:len(b.memos)-1]
+	if b != nil {
+		m = &b.memo
 	} else {
 		m = new(costMemo)
 	}
 	m.reset(snap, stride, blocks)
 	return m
-}
-
-// putMemo returns a memo for later takeMemo calls.
-func (b *ReplayBuf) putMemo(m *costMemo) {
-	if b != nil {
-		b.memos = append(b.memos, m)
-	}
 }
 
 // replay streams refs references from gen through step in buffered

@@ -3,8 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"clusterpt/internal/addr"
 	"clusterpt/internal/memcost"
@@ -22,8 +20,7 @@ import (
 // through node-bound local paths priced by memcost.NUMAModel (remote
 // walks cost RemoteFactor× lines), writes broadcast to every replica
 // and pay the modeled IPI + remote-PTE-update lines. The replay is
-// serial and deterministic per point; lanes only spread independent
-// points, so results are byte-identical at any concurrency.
+// serial and deterministic.
 
 // ReplicationFactors is the swept replica-count axis.
 func ReplicationFactors() []int { return []int{1, 2, 4, 8} }
@@ -39,11 +36,6 @@ type ReplicationConfig struct {
 	// Seed derives the per-node op streams; identical streams replay at
 	// every coordinate so only the geometry differs between points.
 	Seed uint64
-	// MaxLive caps concurrently replaying points (each point holds up to
-	// eight replica tables; the cap bounds peak replica memory). 0
-	// leaves the lane grant in charge. Results are byte-identical at
-	// every value — the -replicas flag's contract.
-	MaxLive int
 }
 
 // ReplicationPoint is one (factor, write-rate) coordinate's accounting.
@@ -166,47 +158,16 @@ func RunReplicationPoint(p trace.Profile, v TableVariant, factor, writePct int, 
 }
 
 // RunReplicationCell sweeps one organization over every (factor,
-// write-rate) coordinate, spreading the independent point replays over
-// min(lanes, MaxLive) goroutines. Points merge by grid index, so the
-// row is identical at any lane count or live cap.
-func RunReplicationCell(p trace.Profile, v TableVariant, cfg ReplicationConfig, lanes int) (ReplicationRow, error) {
-	type coord struct{ factor, writePct int }
-	var grid []coord
+// write-rate) coordinate, in grid order.
+func RunReplicationCell(p trace.Profile, v TableVariant, cfg ReplicationConfig) (ReplicationRow, error) {
+	row := ReplicationRow{Workload: p.Name, Org: v.Name}
 	for _, f := range ReplicationFactors() {
 		for _, w := range ReplicationWriteRates() {
-			grid = append(grid, coord{f, w})
-		}
-	}
-	if lanes > len(grid) {
-		lanes = len(grid)
-	}
-	if cfg.MaxLive > 0 && lanes > cfg.MaxLive {
-		lanes = cfg.MaxLive
-	}
-	if lanes < 1 {
-		lanes = 1
-	}
-	row := ReplicationRow{Workload: p.Name, Org: v.Name, Points: make([]ReplicationPoint, len(grid))}
-	errs := make([]error, len(grid))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for l := 0; l < lanes; l++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(grid) {
-					return
-				}
-				row.Points[i], errs[i] = RunReplicationPoint(p, v, grid[i].factor, grid[i].writePct, cfg)
+			pt, err := RunReplicationPoint(p, v, f, w, cfg)
+			if err != nil {
+				return ReplicationRow{}, err
 			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return ReplicationRow{}, err
+			row.Points = append(row.Points, pt)
 		}
 	}
 	return row, nil

@@ -80,7 +80,7 @@ func (p *Partitioned) Name() string {
 }
 
 // Part returns slice i, for per-shard replay loops that bind a slice to
-// a sharded sub-stream directly instead of routing every access.
+// one shard's sub-stream directly instead of routing every access.
 func (p *Partitioned) Part(i int) *TLB { return p.parts[i] }
 
 // Access routes va to its slice and looks it up there.

@@ -59,16 +59,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
 }
 
-// Skip advances the generator past n draws in O(1). splitmix64 state
-// moves by a fixed increment per draw, so skipping is a single multiply;
-// after Skip(n) the stream continues exactly as if n values had been
-// drawn and discarded. This is what makes sharded generators cheap: a
-// shard that does not own a reference skips that reference's draws
-// instead of computing them.
-func (r *RNG) Skip(n uint64) {
-	r.state += n * 0x9e3779b97f4a7c15
-}
-
 // DeriveSeed derives an independent stream seed from a base seed and a
 // cell key, so concurrent experiment cells draw from disjoint
 // pseudo-random streams no matter what order a scheduler runs them in.

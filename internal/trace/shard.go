@@ -1,23 +1,5 @@
 package trace
 
-import (
-	"strconv"
-
-	"clusterpt/internal/addr"
-)
-
-// This file splits one reference stream into K deterministic
-// sub-streams. The serial Generator draws, for every reference, a
-// weighted region choice and then the region's page and offset; a
-// ShardedGenerator replays the same seed, makes the same region choice
-// for every global reference index, and materializes only the
-// references whose region it owns — skipping the other shards' draws in
-// O(1) via RNG.Skip. Because every shard observes the same region-choice
-// sequence, each owned region's cursor advances exactly as it does in
-// the serial stream, so the union of the shards' (index, address) pairs
-// is the serial stream itself: same multiset, and in fact the same
-// address at every index. trace_test proves this element-wise.
-
 // ShardPlan deterministically assigns each of the snapshot's
 // generator-active regions (mapped pages and positive weight, the same
 // filter NewGenerator applies, in the same order) to one of k shards.
@@ -66,80 +48,4 @@ func ShardPlan(s ProcessSnapshot, k int) []int {
 		load[best] += weights[ri]
 	}
 	return plan
-}
-
-// ShardSeed derives an independent per-shard stream seed from a base
-// seed, for i.i.d. splitting: when a workload's shards should draw from
-// disjoint pseudo-random streams rather than partition one stream by
-// region, seed shard i's generator with ShardSeed(base, i).
-func ShardSeed(base uint64, i int) uint64 {
-	return DeriveSeed(base, "shard/"+strconv.Itoa(i))
-}
-
-// ShardedGenerator produces the subset of a serial Generator's stream
-// owned by one shard, tagged with global reference indices.
-type ShardedGenerator struct {
-	g     *Generator
-	owned []bool
-	idx   int
-	// degenerate marks shard 0 of a snapshot with no generator-active
-	// regions: the serial Generator emits address 0 for every reference
-	// without consuming draws, and shard 0 owns that whole stream so the
-	// union invariant holds even for empty address spaces.
-	degenerate bool
-}
-
-// Split partitions the reference stream of (s, seed) into k sharded
-// generators whose streams interleave, by global index, into exactly
-// the stream NewGenerator(s, seed) produces. Region ownership follows
-// ShardPlan(s, k); with more shards than regions the surplus shards own
-// nothing and their Next returns ok=false immediately.
-func Split(s ProcessSnapshot, seed uint64, k int) []*ShardedGenerator {
-	plan := ShardPlan(s, k)
-	out := make([]*ShardedGenerator, k)
-	for i := range out {
-		// Each shard replays the full construction (including every chase
-		// region's permutation draws) so its RNG state matches the serial
-		// generator's exactly before the first reference.
-		g := NewGenerator(s, seed)
-		owned := make([]bool, len(g.regions))
-		for ri, sh := range plan {
-			owned[ri] = sh == i
-		}
-		out[i] = &ShardedGenerator{
-			g:          g,
-			owned:      owned,
-			degenerate: len(g.regions) == 0 && i == 0,
-		}
-	}
-	return out
-}
-
-// Next advances to the shard's next owned reference with global index
-// below limit. It returns the reference's global stream index and
-// address, or ok=false when the shard owns no further references before
-// limit. Calling Next again after ok=false continues from the same
-// position with a (possibly larger) limit.
-func (sg *ShardedGenerator) Next(limit int) (idx int, va addr.V, ok bool) {
-	if sg.degenerate {
-		if sg.idx >= limit {
-			return 0, 0, false
-		}
-		i := sg.idx
-		sg.idx++
-		return i, 0, true
-	}
-	if len(sg.g.regions) == 0 {
-		return 0, 0, false
-	}
-	for sg.idx < limit {
-		i := sg.idx
-		sg.idx++
-		ri := sg.g.drawRegion()
-		if sg.owned[ri] {
-			return i, sg.g.emit(ri), true
-		}
-		sg.g.skipDraws(ri)
-	}
-	return 0, 0, false
 }
